@@ -7,14 +7,14 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/oump.h"
+#include "core/ump.h"
 #include "util/table_printer.h"
 
 using namespace privsan;
 
 int main() {
   bench::BenchDataset dataset = bench::LoadDataset();
-  OumpScalingBase base = SolveOumpUnitBudget(dataset.log).value();
+  UmpSolution base = SolveOumpUnitBudget(dataset.log).value();
 
   TablePrinter table(
       "Ablation — binding condition (E = epsilon/Condition 2, "
@@ -29,9 +29,9 @@ int main() {
     std::vector<std::string> row = {bench::Shorten(e_eps, 3)};
     for (double delta : bench::DeltaGrid()) {
       PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      OumpResult cell = RoundScaledOump(dataset.log, params, base).value();
+      UmpSolution cell = RoundScaledOump(dataset.log, params, base).value();
       row.push_back(std::string(params.DeltaBound() ? "D " : "E ") +
-                    std::to_string(cell.lambda));
+                    std::to_string(cell.output_size));
     }
     table.AddRow(std::move(row));
   }

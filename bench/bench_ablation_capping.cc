@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/oump.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "util/table_printer.h"
 
@@ -24,14 +24,13 @@ int main() {
   for (double e_eps : {1.4, 2.0, 2.3}) {
     for (double delta : {0.1, 0.5, 0.8}) {
       PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      OumpOptions uncapped;
-      OumpOptions capped;
-      capped.cap_counts_at_input = true;
-      auto u = SolveOump(dataset.log, params, uncapped);
-      auto c = SolveOump(dataset.log, params, capped);
+      auto u = bench::SolveCold(MakeOumpProblem, dataset.log, {params});
+      auto c = bench::SolveCold(MakeOumpProblem, dataset.log, {params},
+                                OumpSpec{.cap_counts_at_input = true});
       if (!u.ok() || !c.ok()) continue;
       table.AddRow({bench::Shorten(e_eps, 2), bench::Shorten(delta, 2),
-                    std::to_string(u->lambda), std::to_string(c->lambda),
+                    std::to_string(u->output_size),
+                    std::to_string(c->output_size),
                     bench::Shorten(
                         SupportDistanceSum(dataset.log, u->x, min_support), 4),
                     bench::Shorten(

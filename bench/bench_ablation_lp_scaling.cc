@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/oump.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -30,7 +30,7 @@ int main() {
         GenerateSearchLog(config).value()).log;
     if (log.num_pairs() == 0) continue;
     WallTimer timer;
-    auto result = SolveOump(log, params);
+    auto result = bench::SolveCold(MakeOumpProblem, log, {params});
     if (!result.ok()) {
       std::cout << "users=" << users << ": " << result.status() << "\n";
       continue;
@@ -38,9 +38,9 @@ int main() {
     table.AddRow({std::to_string(log.num_users()),
                   std::to_string(log.num_pairs()),
                   std::to_string(log.total_clicks()),
-                  std::to_string(result->simplex_iterations),
+                  std::to_string(result->stats.simplex_iterations),
                   bench::Shorten(timer.ElapsedSeconds(), 3),
-                  std::to_string(result->lambda)});
+                  std::to_string(result->output_size)});
   }
   table.Print(std::cout);
   std::cout << "\nreading: per-iteration cost is O(m^2) for the dense basis "

@@ -15,11 +15,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/constraints.h"
 #include "core/privacy_params.h"
 #include "core/session.h"
 #include "core/ump.h"
@@ -101,6 +103,23 @@ inline std::string Percent(double fraction, int precision = 1) {
 
 inline std::string Shorten(double value, int precision = 4) {
   return FormatDouble(value, precision);
+}
+
+// One cold solve on a preprocessed log: build the DP rows, make the problem
+// with `make` (MakeOumpProblem, MakeFumpProblem or MakeDumpProblem) and
+// solve `query` without a warm-start hint — the per-cell one-shot setup of
+// the paper's evaluation.
+template <typename Spec>
+Result<UmpSolution> SolveCold(
+    Result<std::unique_ptr<UmpProblem>> (*make)(const SearchLog&,
+                                                DpConstraintSystem*, Spec,
+                                                lp::SimplexOptions),
+    const SearchLog& log, const UmpQuery& query, Spec spec = {}) {
+  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
+                           DpConstraintSystem::BuildRows(log));
+  PRIVSAN_ASSIGN_OR_RETURN(std::unique_ptr<UmpProblem> problem,
+                           make(log, &system, spec, {}));
+  return problem->Solve(query);
 }
 
 // One UmpQuery per (e^ε, δ) cell, row-major over `e_epsilons` x `deltas` —

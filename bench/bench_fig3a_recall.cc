@@ -11,8 +11,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/fump.h"
-#include "core/oump.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "util/table_printer.h"
 
@@ -24,7 +23,7 @@ int main() {
   const double min_support = 1.0 / 500;
   const std::vector<double> deltas = {0.01, 0.1, 0.5, 0.8};
 
-  OumpScalingBase base = SolveOumpUnitBudget(dataset.log).value();
+  UmpSolution base = SolveOumpUnitBudget(dataset.log).value();
 
   // Fixed target |O|: 75% of the largest grid λ, the role the paper's
   // |O| = 3000 plays against its Table 4 values.
@@ -32,8 +31,8 @@ int main() {
   for (double e_eps : bench::EEpsilonGrid()) {
     for (double delta : deltas) {
       PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      OumpResult cell = RoundScaledOump(dataset.log, params, base).value();
-      max_lambda = std::max(max_lambda, cell.lambda);
+      UmpSolution cell = RoundScaledOump(dataset.log, params, base).value();
+      max_lambda = std::max(max_lambda, cell.output_size);
     }
   }
   const uint64_t target = std::max<uint64_t>(1, max_lambda * 3 / 4);
@@ -51,16 +50,16 @@ int main() {
     std::vector<std::string> row = {bench::Shorten(delta, 2)};
     for (double e_eps : bench::EEpsilonGrid()) {
       PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      OumpResult lambda_cell =
-          RoundScaledOump(dataset.log, params, base).value();
-      if (lambda_cell.lambda == 0) {
+      const uint64_t lambda =
+          RoundScaledOump(dataset.log, params, base).value().output_size;
+      if (lambda == 0) {
         row.push_back("0 (lambda=0)");
         continue;
       }
-      FumpOptions options;
-      options.min_support = min_support;
-      options.output_size = std::min(target, lambda_cell.lambda);
-      auto result = SolveFump(dataset.log, params, options);
+      const uint64_t output_size = std::min(target, lambda);
+      auto result = bench::SolveCold(MakeFumpProblem, dataset.log,
+                                     {params, output_size},
+                                     FumpSpec{.min_support = min_support});
       if (!result.ok()) {
         row.push_back("err");
         continue;
@@ -71,8 +70,8 @@ int main() {
       bench::JsonRecord record;
       record.Add("e_eps", e_eps)
           .Add("delta", delta)
-          .Add("lambda", lambda_cell.lambda)
-          .Add("output_size", options.output_size)
+          .Add("lambda", lambda)
+          .Add("output_size", output_size)
           .Add("recall", pr.recall)
           .Add("precision", pr.precision);
       report.Add(std::move(record));

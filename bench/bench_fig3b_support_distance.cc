@@ -7,8 +7,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/fump.h"
-#include "core/oump.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "util/table_printer.h"
 
@@ -20,14 +19,14 @@ int main() {
   const double min_support = 1.0 / 500;
   const std::vector<double> deltas = {0.01, 0.1, 0.5, 0.8};
 
-  OumpScalingBase base = SolveOumpUnitBudget(dataset.log).value();
+  UmpSolution base = SolveOumpUnitBudget(dataset.log).value();
   uint64_t max_lambda = 0;
   for (double e_eps : bench::EEpsilonGrid()) {
     for (double delta : deltas) {
       PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
       max_lambda = std::max(
           max_lambda,
-          RoundScaledOump(dataset.log, params, base).value().lambda);
+          RoundScaledOump(dataset.log, params, base).value().output_size);
     }
   }
   const uint64_t target = std::max<uint64_t>(1, max_lambda * 3 / 4);
@@ -45,9 +44,9 @@ int main() {
     std::vector<std::string> row = {bench::Shorten(delta, 2)};
     for (double e_eps : bench::EEpsilonGrid()) {
       PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      OumpResult lambda_cell =
-          RoundScaledOump(dataset.log, params, base).value();
-      if (lambda_cell.lambda == 0) {
+      const uint64_t lambda =
+          RoundScaledOump(dataset.log, params, base).value().output_size;
+      if (lambda == 0) {
         // No output at all: every frequent pair is at full distance.
         row.push_back(bench::Shorten(
             SupportDistanceSum(dataset.log,
@@ -57,10 +56,10 @@ int main() {
             4));
         continue;
       }
-      FumpOptions options;
-      options.min_support = min_support;
-      options.output_size = std::min(target, lambda_cell.lambda);
-      auto result = SolveFump(dataset.log, params, options);
+      const uint64_t output_size = std::min(target, lambda);
+      auto result = bench::SolveCold(MakeFumpProblem, dataset.log,
+                                     {params, output_size},
+                                     FumpSpec{.min_support = min_support});
       if (!result.ok()) {
         row.push_back("err");
         continue;
@@ -71,7 +70,7 @@ int main() {
       bench::JsonRecord record;
       record.Add("e_eps", e_eps)
           .Add("delta", delta)
-          .Add("output_size", options.output_size)
+          .Add("output_size", output_size)
           .Add("distance_sum", distance);
       report.Add(std::move(record));
     }

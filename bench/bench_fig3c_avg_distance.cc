@@ -8,8 +8,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/fump.h"
-#include "core/oump.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "util/table_printer.h"
 
@@ -20,9 +19,12 @@ int main() {
   bench::JsonReport report("fig3c_avg_distance");
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
 
-  OumpResult oump = SolveOump(dataset.log, params).value();
-  std::cout << "lambda(e^eps=2, delta=0.5) = " << oump.lambda << "\n";
-  if (oump.lambda == 0) {
+  const uint64_t lambda =
+      bench::SolveCold(MakeOumpProblem, dataset.log, {params})
+          .value()
+          .output_size;
+  std::cout << "lambda(e^eps=2, delta=0.5) = " << lambda << "\n";
+  if (lambda == 0) {
     std::cout << "budget too tight on this dataset scale; nothing to sweep\n";
     return 0;
   }
@@ -30,7 +32,7 @@ int main() {
   // |O| in {3000..8000} against lambda = 13088.
   std::vector<uint64_t> sizes;
   for (int i = 1; i <= 6; ++i) {
-    uint64_t size = oump.lambda * (22 + 10 * i) / 100;  // 32% .. 82%
+    uint64_t size = lambda * (22 + 10 * i) / 100;  // 32% .. 82%
     if (size == 0) size = 1;
     sizes.push_back(size);
   }
@@ -46,10 +48,9 @@ int main() {
     std::vector<std::string> row = {"1/" + std::to_string(static_cast<int>(
                                                1.0 / support + 0.5))};
     for (uint64_t size : sizes) {
-      FumpOptions options;
-      options.min_support = support;
-      options.output_size = size;
-      auto result = SolveFump(dataset.log, params, options);
+      auto result = bench::SolveCold(MakeFumpProblem, dataset.log,
+                                     {params, size},
+                                     FumpSpec{.min_support = support});
       if (!result.ok()) {
         row.push_back("err");
         continue;

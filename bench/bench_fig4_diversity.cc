@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/dump.h"
+#include "core/ump.h"
 #include "util/table_printer.h"
 
 using namespace privsan;
@@ -28,19 +28,21 @@ int main() {
     std::vector<std::string> row = {bench::Shorten(delta, 2)};
     for (double e_eps : bench::EEpsilonGrid()) {
       PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      DumpOptions options;
-      options.solver = DumpSolverKind::kSpe;
-      auto result = SolveDump(dataset.log, params, options);
-      row.push_back(result.ok()
-                        ? bench::Percent(result->diversity_ratio, 2)
-                        : "err");
-      if (result.ok()) {
+      auto result = bench::SolveCold(MakeDumpProblem, dataset.log, {params},
+                                     DumpSpec{.solver = DumpSolverKind::kSpe});
+      if (!result.ok()) {
+        row.push_back("err");
+      } else {
+        const double diversity_ratio =
+            static_cast<double>(result->output_size) /
+            static_cast<double>(dataset.log.num_pairs());
+        row.push_back(bench::Percent(diversity_ratio, 2));
         bench::JsonRecord record;
         record.Add("e_eps", e_eps)
             .Add("delta", delta)
-            .Add("retained", result->retained)
-            .Add("diversity_ratio", result->diversity_ratio)
-            .Add("seconds", result->wall_seconds);
+            .Add("retained", result->output_size)
+            .Add("diversity_ratio", diversity_ratio)
+            .Add("seconds", result->stats.wall_seconds);
         report.Add(std::move(record));
       }
     }

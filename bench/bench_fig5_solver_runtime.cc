@@ -40,8 +40,8 @@ int main() {
   SanitizerSession session =
       SanitizerSession::Create(dataset.raw, options).value();
 
-  // The paper's cell first. Under the equation-faithful budget (see
-  // EXPERIMENTS.md note 2) delta = 1e-3 admits no retained pairs, so its
+  // The paper's cell first. Under the equation-faithful budget (see the
+  // README's "λ fidelity" note) delta = 1e-3 admits no retained pairs, so its
   // runtimes measure pure solver overhead on a degenerate instance; the
   // second cell is non-degenerate and carries the meaningful comparison.
   const std::vector<CellSpec> cells = {{1.7, 1e-3, "  [paper's cell]"},

@@ -11,9 +11,8 @@
 #include "bench_common.h"
 #include <cmath>
 
-#include "core/fump.h"
-#include "core/oump.h"
 #include "core/sampler.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "util/table_printer.h"
 
@@ -27,22 +26,23 @@ int main() {
   constexpr int kSamples = 10;
   constexpr int kBins = 10;
 
-  OumpResult oump = SolveOump(dataset.log, params).value();
-  if (oump.lambda == 0) {
+  const uint64_t lambda =
+      bench::SolveCold(MakeOumpProblem, dataset.log, {params})
+          .value()
+          .output_size;
+  if (lambda == 0) {
     std::cout << "budget too tight on this dataset scale\n";
     return 0;
   }
   // Two output sizes in the same ratio as the paper's 4000 / 6000 vs their
   // lambda = 13088: ~31% and ~46%.
   const std::vector<uint64_t> sizes = {
-      std::max<uint64_t>(1, oump.lambda * 31 / 100),
-      std::max<uint64_t>(1, oump.lambda * 46 / 100)};
+      std::max<uint64_t>(1, lambda * 31 / 100),
+      std::max<uint64_t>(1, lambda * 46 / 100)};
 
   for (uint64_t size : sizes) {
-    FumpOptions options;
-    options.min_support = min_support;
-    options.output_size = size;
-    auto fump = SolveFump(dataset.log, params, options);
+    auto fump = bench::SolveCold(MakeFumpProblem, dataset.log, {params, size},
+                                 FumpSpec{.min_support = min_support});
     if (!fump.ok()) {
       std::cout << "F-UMP failed at |O|=" << size << ": " << fump.status()
                 << "\n";
@@ -75,7 +75,7 @@ int main() {
 
     // Equation 10 compares *global supports*, which differ by the factor
     // |D|/|O| between input and output; under equation-faithful budgets
-    // (EXPERIMENTS.md note 2) |O|/|D| is so small that every triplet lands
+    // (README, "λ fidelity") |O|/|D| is so small that every triplet lands
     // in the top bin. The histogram property Figure 6 illustrates —
     // multinomial sampling preserves each pair's per-user *shape*
     // (Section 3.2, property 2) — is scale-free in the conditional shares

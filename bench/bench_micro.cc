@@ -4,11 +4,11 @@
 #include <benchmark/benchmark.h>
 
 #include "core/constraints.h"
-#include "core/dump.h"
-#include "core/oump.h"
 #include "core/rounding.h"
 #include "core/sampler.h"
 #include "core/spe.h"
+#include "core/ump.h"
+#include "bench_common.h"
 #include "bench_factorization_common.h"
 #include "log/preprocess.h"
 #include "lp/eta_file.h"
@@ -100,7 +100,8 @@ void BM_OumpSolve(benchmark::State& state) {
   const SearchLog& log = MicroLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveOump(log, params).value());
+    benchmark::DoNotOptimize(
+        bench::SolveCold(MakeOumpProblem, log, {params}).value());
   }
 }
 BENCHMARK(BM_OumpSolve);
@@ -160,8 +161,9 @@ BENCHMARK(BM_LuFtran)->Arg(100)->Arg(400);
 
 void BM_SampleOutput(benchmark::State& state) {
   const SearchLog& log = MicroLog();
-  OumpResult oump =
-      SolveOump(log, PrivacyParams::FromEEpsilon(2.0, 0.5)).value();
+  UmpSolution oump = bench::SolveCold(MakeOumpProblem, log,
+                                     {PrivacyParams::FromEEpsilon(2.0, 0.5)})
+                        .value();
   uint64_t seed = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(SampleOutput(log, oump.x, seed++).value());

@@ -12,9 +12,9 @@
 // between cells, so warm cells restore optimality in a handful of pivots;
 // the objectives are identical by construction and cross-checked below.
 //
-// Fidelity note (also in EXPERIMENTS.md): the paper's absolute λ values
-// (7–26% of |D|) are not attainable under its own Equation 4 — for every
-// pair, sum_k log t_ijk >= sum_k c_ijk/c_ij = 1, which caps λ at
+// Fidelity note (README, Benches, "λ fidelity"): the paper's absolute λ
+// values (7–26% of |D|) are not attainable under its own Equation 4 — for
+// every pair, sum_k log t_ijk >= sum_k c_ijk/c_ij = 1, which caps λ at
 // (#users · B); privsan reports the equation-faithful values and reproduces
 // the shape.
 #include <algorithm>

@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "core/audit.h"
-#include "core/oump.h"
-#include "log/preprocess.h"
+#include "core/session.h"
 #include "log/search_log.h"
 
 using namespace privsan;
@@ -53,12 +52,19 @@ int main() {
   }
 
   // --- The optimal compliant solution. -------------------------------------
-  SearchLog log = RemoveUniquePairs(raw).log;
-  OumpResult oump = SolveOump(log, params).value();
+  // The session preprocesses the raw log (Condition 1) and solves O-UMP on
+  // the result; its counts are indexed by session.log()'s PairIds.
+  SanitizerSession session = SanitizerSession::Create(raw).value();
+  const SearchLog& log = session.log();
+  UmpQuery query;
+  query.privacy = params;
+  UmpSolution oump =
+      session.Solve(UtilityObjective::kOutputSize, query).value();
   {
     AuditReport report = AuditSolution(log, params, oump.x).value();
     std::cout << "O-UMP optimal counts on the preprocessed log (lambda = "
-              << oump.lambda << "):\n  " << report.ToString() << "\n\n";
+              << oump.output_size << "):\n  " << report.ToString()
+              << "\n\n";
   }
 
   // --- Exposure as counts scale beyond the optimum. ------------------------

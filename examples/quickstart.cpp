@@ -7,7 +7,7 @@
 // TSV path (`user<TAB>query<TAB>url<TAB>count` rows) your own log is used.
 #include <iostream>
 
-#include "core/sanitizer.h"
+#include "core/session.h"
 #include "log/log_io.h"
 #include "synth/characteristics.h"
 #include "synth/generator.h"
@@ -43,14 +43,18 @@ int main(int argc, char** argv) {
 
   // 2. Configure the sanitizer: e^eps = 2, delta = 0.5 (a mid-grid point of
   //    the paper's evaluation), maximizing output size.
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kOutputSize;
-  config.seed = 42;
+  const PrivacyParams privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
+  SessionOptions options;
+  options.objective = UtilityObjective::kOutputSize;
+  options.seed = 42;
 
   // 3. Run Algorithm 1: preprocess -> optimize -> multinomial sampling.
-  Sanitizer sanitizer(config);
-  Result<SanitizeReport> report = sanitizer.Sanitize(input);
+  Result<SanitizerSession> session = SanitizerSession::Create(input, options);
+  if (!session.ok()) {
+    std::cerr << "preprocessing failed: " << session.status() << std::endl;
+    return 1;
+  }
+  Result<SanitizeReport> report = session->Sanitize(privacy);
   if (!report.ok()) {
     std::cerr << "sanitization failed: " << report.status() << std::endl;
     return 1;

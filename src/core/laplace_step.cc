@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
-#include "core/oump.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "rng/distributions.h"
 #include "rng/random.h"
@@ -57,16 +58,32 @@ Result<LaplaceStepResult> AddLaplaceNoise(const SearchLog& log,
   return result;
 }
 
+namespace {
+
+// The relaxed O-UMP optimum of `log` at `params`: one cold solve.
+Result<std::vector<double>> RelaxedOump(const SearchLog& log,
+                                        const PrivacyParams& params,
+                                        const lp::SimplexOptions& simplex) {
+  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
+                           DpConstraintSystem::BuildRows(log));
+  PRIVSAN_ASSIGN_OR_RETURN(std::unique_ptr<UmpProblem> problem,
+                           MakeOumpProblem(log, &system, {}, simplex));
+  UmpQuery query;
+  query.privacy = params;
+  PRIVSAN_ASSIGN_OR_RETURN(UmpSolution solution, problem->Solve(query));
+  return std::move(solution.x_relaxed);
+}
+
+}  // namespace
+
 Result<SensitivityBoundResult> BoundOumpSensitivity(
     const SearchLog& log, const PrivacyParams& params, double d,
     const lp::SimplexOptions& simplex) {
   if (!(d > 0.0)) {
     return Status::InvalidArgument("d must be > 0");
   }
-  OumpOptions oump_options;
-  oump_options.simplex = simplex;
-  PRIVSAN_ASSIGN_OR_RETURN(OumpResult base, SolveOump(log, params,
-                                                      oump_options));
+  PRIVSAN_ASSIGN_OR_RETURN(std::vector<double> base,
+                           RelaxedOump(log, params, simplex));
 
   SensitivityBoundResult result;
   std::vector<bool> drop(log.num_users(), false);
@@ -85,8 +102,8 @@ Result<SensitivityBoundResult> BoundOumpSensitivity(
       }
     }
     PreprocessResult cleaned = RemoveUniquePairs(builder.Build());
-    PRIVSAN_ASSIGN_OR_RETURN(OumpResult without,
-                             SolveOump(cleaned.log, params, oump_options));
+    PRIVSAN_ASSIGN_OR_RETURN(std::vector<double> without,
+                             RelaxedOump(cleaned.log, params, simplex));
 
     // Compare per-pair counts by (query, url) identity.
     double max_shift = 0.0;
@@ -95,11 +112,11 @@ Result<SensitivityBoundResult> BoundOumpSensitivity(
       auto found = log.FindPair(
           cleaned.log.query_name(cleaned.log.pair_query(q)),
           cleaned.log.url_name(cleaned.log.pair_url(q)));
-      if (found.ok()) matched[*found] = without.x_relaxed[q];
+      if (found.ok()) matched[*found] = without[q];
     }
     for (PairId p = 0; p < log.num_pairs(); ++p) {
       max_shift = std::max(max_shift,
-                           std::abs(base.x_relaxed[p] - matched[p]));
+                           std::abs(base[p] - matched[p]));
     }
     if (max_shift > d) {
       drop[u] = true;

@@ -5,8 +5,8 @@
 #include <unordered_set>
 
 #include "core/constraints.h"
-#include "core/dump.h"
 #include "core/spe.h"
+#include "core/ump.h"
 
 namespace privsan {
 

@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/fump.h"
 #include "core/sampler.h"
 #include "lp/basis_io.h"
 #include "serve/thread_pool.h"

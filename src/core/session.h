@@ -116,7 +116,7 @@ struct SessionSnapshot {
   std::vector<lp::Basis> bases;  // indexed by UtilityObjective
 };
 
-// Result of the full pipeline (formerly declared in core/sanitizer.h).
+// Result of the full pipeline (Sanitize).
 struct SanitizeReport {
   SearchLog output;
   // The preprocessed input the UMP ran on; optimal_counts is indexed by its
@@ -131,7 +131,7 @@ struct SanitizeReport {
 
 struct SweepOptions {
   // Chain each cell's solve from the previous cell's optimal basis. Off =
-  // the per-cell cold baseline (what the one-shot wrappers do).
+  // the per-cell cold baseline (every cell solves from scratch).
   bool warm_start = true;
   // F-UMP only: structural min-support override for this sweep. Changing it
   // rebuilds the cached F-UMP problem (the frequent set shapes the model).

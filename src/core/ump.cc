@@ -5,8 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "core/dump.h"
-#include "core/fump.h"
 #include "core/rounding.h"
 #include "core/spe.h"
 #include "lp/bip_heuristics.h"
@@ -588,6 +586,69 @@ Result<std::unique_ptr<UmpProblem>> MakeDumpProblem(
   auto problem = std::make_unique<DumpProblem>(log, system, spec, simplex);
   PRIVSAN_RETURN_IF_ERROR(problem->Build());
   return std::unique_ptr<UmpProblem>(std::move(problem));
+}
+
+std::vector<PairId> FrequentPairs(const SearchLog& log, double min_support) {
+  std::vector<PairId> frequent;
+  for (PairId p = 0; p < log.num_pairs(); ++p) {
+    if (log.PairSupport(p) >= min_support) frequent.push_back(p);
+  }
+  return frequent;
+}
+
+lp::BipProblem BipFromConstraintRows(const DpConstraintSystem& system) {
+  lp::BipProblem problem;
+  problem.num_rows = static_cast<int>(system.num_rows());
+  problem.rhs.assign(system.num_rows(), system.budget());
+  problem.columns.assign(system.num_pairs(), {});
+  for (size_t r = 0; r < system.num_rows(); ++r) {
+    for (const DpConstraintEntry& e : system.Row(r)) {
+      problem.columns[e.pair].push_back(
+          lp::SparseEntry{static_cast<int>(r), e.log_t});
+    }
+  }
+  return problem;
+}
+
+Result<lp::BipProblem> BuildDumpBip(const SearchLog& log,
+                                    const PrivacyParams& params) {
+  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
+                           DpConstraintSystem::Build(log, params));
+  return BipFromConstraintRows(system);
+}
+
+Result<UmpSolution> SolveOumpUnitBudget(const SearchLog& log,
+                                        const lp::SimplexOptions& simplex) {
+  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
+                           DpConstraintSystem::BuildRows(log));
+  PRIVSAN_ASSIGN_OR_RETURN(std::unique_ptr<UmpProblem> problem,
+                           MakeOumpProblem(log, &system, {}, simplex));
+  // delta = 1 - 1/e^2 makes log(1/(1-delta)) = 2 > epsilon = 1, so the
+  // budget is exactly 1.
+  UmpQuery unit;
+  unit.privacy = PrivacyParams{1.0, 1.0 - std::exp(-2.0)};
+  return problem->Solve(unit);
+}
+
+Result<UmpSolution> RoundScaledOump(const SearchLog& log,
+                                    const PrivacyParams& params,
+                                    const UmpSolution& unit) {
+  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
+                           DpConstraintSystem::Build(log, params));
+  if (unit.x_relaxed.size() != log.num_pairs()) {
+    return Status::InvalidArgument(
+        "scaling base does not match this log's pair count");
+  }
+  const double budget = params.Budget();
+  UmpSolution solution;
+  solution.x_relaxed.resize(unit.x_relaxed.size());
+  for (size_t p = 0; p < unit.x_relaxed.size(); ++p) {
+    solution.x_relaxed[p] = unit.x_relaxed[p] * budget;
+  }
+  solution.objective_value = unit.objective_value * budget;
+  solution.x = RoundCounts(system, solution.x_relaxed, RoundingOptions{});
+  for (uint64_t v : solution.x) solution.output_size += v;
+  return solution;
 }
 
 }  // namespace privsan

@@ -20,8 +20,9 @@
 //   * every objective reports the same UmpStats block.
 //
 // SanitizerSession (core/session.h) owns the shared state and the
-// basis-chaining policy; the free functions SolveOump / SolveFump /
-// SolveDump (core/oump.h etc.) remain as deprecated one-shot wrappers.
+// basis-chaining policy. A caller holding a preprocessed log that wants one
+// cold solve builds the rows (DpConstraintSystem::BuildRows), makes the
+// problem with a factory below and calls Solve(query) without a hint.
 #ifndef PRIVSAN_CORE_UMP_H_
 #define PRIVSAN_CORE_UMP_H_
 
@@ -33,20 +34,11 @@
 #include "core/constraints.h"
 #include "core/privacy_params.h"
 #include "log/search_log.h"
+#include "lp/bip_heuristics.h"
 #include "lp/branch_and_bound.h"
 #include "lp/simplex.h"
 #include "util/concurrency_check.h"
 #include "util/result.h"
-
-// Compatibility entry points (SolveOump / SolveFump / SolveDump and the
-// one-shot Sanitizer) are tagged with this macro. Builds stay quiet by
-// default; define PRIVSAN_WARN_DEPRECATED to surface [[deprecated]]
-// warnings while migrating to UmpProblem / SanitizerSession.
-#ifdef PRIVSAN_WARN_DEPRECATED
-#define PRIVSAN_DEPRECATED(msg) [[deprecated(msg)]]
-#else
-#define PRIVSAN_DEPRECATED(msg)
-#endif
 
 namespace privsan {
 
@@ -81,9 +73,14 @@ struct FumpSpec {
   // set shapes the model (one deviation variable + two rows per frequent
   // pair), so s is structural.
   double min_support = 1.0 / 500;
-  // Realize the paper's empirical "Precision = 1" finding structurally (see
-  // core/fump.h for the full story). Falls back to the uncapped formulation
-  // when the caps make the requested |O| unreachable.
+  // Realize the paper's empirical "Precision = 1" finding structurally:
+  // infrequent pairs get the upper bound ⌈s|O|⌉ − 1 in the LP (no pair can
+  // become frequent in the output that was not frequent in the input), and
+  // after rounding any infrequent count still at/over the threshold of the
+  // realized size is clamped below it. The objective never involves
+  // infrequent pairs, so their caps do not change the optimal support
+  // distances; if the capped LP is infeasible the solver falls back to the
+  // uncapped formulation.
   bool enforce_precision = true;
 };
 
@@ -212,18 +209,62 @@ class UmpProblem {
 };
 
 // Factories. `system` must hold the rows of `log` (DpConstraintSystem::
-// BuildRows); its budget is rebound per query.
+// BuildRows); its budget is rebound per query. The programs, with
+// B = min{ε, log(1/(1−δ))} and one DP row per user log A_k (Equation 4):
+//
+// O-UMP (§5.1): max sum_ij x_ij  s.t.  sum_{(i,j) in A_k} x_ij log t_ijk <= B,
+// x >= 0. Solved by linear relaxation and floored (⌊x*⌋ stays feasible
+// because every coefficient is >= 0); λ = sum ⌊x*_ij⌋ is the maximum output
+// size of the paper's Table 4 and the |O| cap for F-UMP.
 Result<std::unique_ptr<UmpProblem>> MakeOumpProblem(
     const SearchLog& log, DpConstraintSystem* system, OumpSpec spec = {},
     lp::SimplexOptions simplex = {});
 
+// F-UMP (§5.2): given a minimum support s and an output size |O| in (0, λ],
+// min sum over frequent pairs f of |x_f/|O| − c_f/|D||  s.t. the DP rows and
+// sum x = |O|, where f is frequent iff c_f/|D| >= s. The absolute values are
+// linearized with deviation variables (Statement 2); flooring keeps the DP
+// rows satisfied but may land the realized size slightly below |O|.
 Result<std::unique_ptr<UmpProblem>> MakeFumpProblem(
     const SearchLog& log, DpConstraintSystem* system, FumpSpec spec = {},
     lp::SimplexOptions simplex = {});
 
+// D-UMP (§5.3): max sum_ij y_ij  s.t. the DP rows, y in {0, 1} — the
+// simplified BIP of Equation 8 (Theorem 2 shows it shares its optimal y
+// with the big-M MIP). A retained pair is released once (x_ij = y_ij). The
+// BIP is NP-hard; DumpSolverKind picks the paper's SPE heuristic or one of
+// the Table 7 / Figure 5 solver stand-ins.
 Result<std::unique_ptr<UmpProblem>> MakeDumpProblem(
     const SearchLog& log, DpConstraintSystem* system, DumpSpec spec = {},
     lp::SimplexOptions simplex = {});
+
+// The frequent set S0 = {pairs with support >= s} of `log` (F-UMP).
+std::vector<PairId> FrequentPairs(const SearchLog& log, double min_support);
+
+// The Equation-8 BIP from an already-built constraint system (row rhs =
+// system.budget()); the D-UMP problem caches it.
+lp::BipProblem BipFromConstraintRows(const DpConstraintSystem& system);
+
+// The same BIP built from `log` at the budget of `params`.
+Result<lp::BipProblem> BuildDumpBip(const SearchLog& log,
+                                    const PrivacyParams& params);
+
+// Grid acceleration for O-UMP: the feasible region {Wx <= B·1, x >= 0}
+// scales linearly in B, so the relaxed optimum is computed once at B = 1
+// and every (ε, δ) cell follows by scaling it and re-rounding. Not valid
+// with OumpSpec::cap_counts_at_input (caps break the scaling).
+//
+// The cold O-UMP solve at unit budget.
+Result<UmpSolution> SolveOumpUnitBudget(const SearchLog& log,
+                                        const lp::SimplexOptions& simplex = {});
+
+// The O-UMP solution at `params` from `unit` (a SolveOumpUnitBudget result
+// on the same log) without running the simplex: x_relaxed and
+// objective_value are scaled by the budget, x is rounded against the DP
+// rows, and the solver stats stay zero.
+Result<UmpSolution> RoundScaledOump(const SearchLog& log,
+                                    const PrivacyParams& params,
+                                    const UmpSolution& unit);
 
 }  // namespace privsan
 

@@ -22,7 +22,7 @@ namespace net {
 // under Shared::mu.
 struct NetServer::Slot {
   bool done = false;
-  std::string bytes;  // the encoded reply (frame or text line)
+  std::string bytes;  // the encoded reply frame
 };
 
 struct NetServer::Connection {
@@ -30,7 +30,6 @@ struct NetServer::Connection {
 
   int fd;  // -1 once closed (late completions then just drop)
   FrameDecoder decoder{kMaxFramePayload};
-  std::string textbuf;  // text mode: bytes of the unfinished last line
   std::string outbuf;
   size_t outpos = 0;
   std::deque<std::shared_ptr<Slot>> pending;
@@ -59,11 +58,6 @@ NetServer::NetServer(serve::SanitizerService* service, ServerOptions options)
 
 NetServer::NetServer(FrameHandler handler, ServerOptions options)
     : frame_handler_(std::move(handler)),
-      options_(options),
-      shared_(std::make_shared<Shared>()) {}
-
-NetServer::NetServer(TextHandler handler, ServerOptions options)
-    : text_handler_(std::move(handler)),
       options_(options),
       shared_(std::make_shared<Shared>()) {}
 
@@ -194,44 +188,24 @@ void NetServer::ReadInput(const std::shared_ptr<Connection>& conn) {
       conn->closing = true;
       break;
     }
-    if (frame_handler_) {
-      conn->decoder.Feed(buf, static_cast<size_t>(n));
-      Frame frame;
-      while (true) {
-        Result<bool> next = conn->decoder.Next(&frame);
-        if (!next.ok()) {
-          // Frame-layer corruption: the stream has lost sync. Report once
-          // (request_id 0 — there is no trustworthy id) and close after
-          // the pending replies drain.
-          auto slot = std::make_shared<Slot>();
-          conn->pending.push_back(slot);
-          Complete(shared_, conn, slot,
-                   EncodeFrame(EncodeResponse(
-                       {next.status(), {}}, /*request_id=*/0)));
-          conn->closing = true;
-          break;
-        }
-        if (!*next) break;
-        HandleFrame(conn, std::move(frame));
-      }
-    } else {
-      conn->textbuf.append(buf, static_cast<size_t>(n));
-      size_t start = 0;
-      while (true) {
-        const size_t eol = conn->textbuf.find('\n', start);
-        if (eol == std::string::npos) break;
-        std::string line = conn->textbuf.substr(start, eol - start);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        start = eol + 1;
-        HandleLine(conn, std::move(line));
-      }
-      conn->textbuf.erase(0, start);
-      if (conn->textbuf.size() > options_.max_text_line) {
+    conn->decoder.Feed(buf, static_cast<size_t>(n));
+    Frame frame;
+    while (true) {
+      Result<bool> next = conn->decoder.Next(&frame);
+      if (!next.ok()) {
+        // Frame-layer corruption: the stream has lost sync. Report once
+        // (request_id 0 — there is no trustworthy id) and close after the
+        // pending replies drain.
         auto slot = std::make_shared<Slot>();
         conn->pending.push_back(slot);
-        Complete(shared_, conn, slot, "ERR line too long\n");
+        Complete(shared_, conn, slot,
+                 EncodeFrame(EncodeResponse({next.status(), {}},
+                                            /*request_id=*/0)));
         conn->closing = true;
+        break;
       }
+      if (!*next) break;
+      HandleFrame(conn, std::move(frame));
     }
   }
   FlushConnection(conn);
@@ -259,16 +233,6 @@ void NetServer::HandleFrame(const std::shared_ptr<Connection>& conn,
         Complete(shared, conn, slot,
                  EncodeFrame(EncodeResponse(response, request_id)));
       });
-}
-
-void NetServer::HandleLine(const std::shared_ptr<Connection>& conn,
-                           std::string line) {
-  auto slot = std::make_shared<Slot>();
-  conn->pending.push_back(slot);
-  std::shared_ptr<Shared> shared = shared_;
-  text_handler_(std::move(line), [shared, conn, slot](std::string reply) {
-    Complete(shared, conn, slot, std::move(reply));
-  });
 }
 
 void NetServer::FlushConnection(const std::shared_ptr<Connection>& conn) {

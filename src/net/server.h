@@ -1,22 +1,17 @@
 // The epoll serving front-end: nonblocking accept/read/write on one loop
 // thread, request execution on the SanitizerService worker pool.
 //
-// Binary mode (the default protocol) speaks net/frame.h frames: each
-// decoded request becomes one SanitizerService::Submit(request, done)
-// call; the completion callback encodes the response frame on the worker
-// thread and hands it back to the loop through an eventfd. Replies are
-// written in per-connection request order — a slot is queued per request
-// at decode time, and only the contiguous done-prefix of the slot queue
-// flushes — so a pipelined client can match replies positionally, with
-// the echoed request_id as a cross-check.
+// The server speaks net/frame.h frames only: each decoded request becomes
+// one SanitizerService::Submit(request, done) call; the completion
+// callback encodes the response frame on the worker thread and hands it
+// back to the loop through an eventfd. Replies are written in
+// per-connection request order — a slot is queued per request at decode
+// time, and only the contiguous done-prefix of the slot queue flushes — so
+// a pipelined client can match replies positionally, with the echoed
+// request_id as a cross-check. The line protocol (net/text_protocol.h) is
+// a client-side codec: sanitizer_netclient translates lines to frames.
 //
-// Text mode serves a line protocol instead: the owner supplies a handler
-// invoked on the loop thread for every complete input line, which must
-// call its `done(reply)` exactly once (from any thread). Replies flush in
-// line order through the same slot queue. sanitizer_serverd uses this for
-// --protocol=text compatibility with the stdin pipeline.
-//
-// Error containment, binary mode: a frame that parses at the frame layer
+// Error containment: a frame that parses at the frame layer
 // but fails request decoding answers an error frame (echoed request_id,
 // status in the header) and the connection continues; a frame-layer error
 // (bad magic/length — the stream has lost sync) answers one error frame
@@ -49,10 +44,8 @@ namespace net {
 struct ServerOptions {
   // 0 = pick an ephemeral port (read it back with port() after Start).
   uint16_t port = 0;
-  // Frame payload cap for binary mode (hostile lengths reject early).
+  // Frame payload cap (hostile lengths reject early).
   size_t max_frame_payload = kMaxFramePayload;
-  // Line length cap for text mode.
-  size_t max_text_line = 1u << 20;
   // Per-connection backpressure: once this many replies are pending, or
   // the unflushed out-buffer backlog exceeds this many bytes, the
   // connection stops reading (EPOLLIN unregistered) until the backlog
@@ -80,13 +73,6 @@ class NetServer {
       serve::ServeRequest request,
       std::function<void(serve::ServeResponse)> respond)>;
   NetServer(FrameHandler handler, ServerOptions options = {});
-
-  // Text line server. `handler` runs on the loop thread per complete line
-  // (newline stripped) and must call done(reply) exactly once, from any
-  // thread; the reply is sent verbatim (include the trailing newline).
-  using TextDone = std::function<void(std::string reply)>;
-  using TextHandler = std::function<void(std::string line, TextDone done)>;
-  NetServer(TextHandler handler, ServerOptions options = {});
 
   ~NetServer();
 
@@ -126,7 +112,6 @@ class NetServer {
   void HandleConnectionEvent(int fd, uint32_t events);
   void ReadInput(const std::shared_ptr<Connection>& conn);
   void HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame);
-  void HandleLine(const std::shared_ptr<Connection>& conn, std::string line);
   // Moves the contiguous done-prefix of the slot queue into the out
   // buffer, writes what the socket accepts, closes drained connections.
   void FlushConnection(const std::shared_ptr<Connection>& conn);
@@ -142,8 +127,7 @@ class NetServer {
                        const std::shared_ptr<Connection>& conn,
                        const std::shared_ptr<Slot>& slot, std::string bytes);
 
-  FrameHandler frame_handler_;  // binary mode
-  TextHandler text_handler_;    // text mode
+  FrameHandler frame_handler_;
   ServerOptions options_;
 
   EventLoop loop_;

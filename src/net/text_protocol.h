@@ -1,7 +1,8 @@
-// The serverd line protocol, factored out of the daemon so every
-// transport speaks it identically: sanitizer_serverd's stdin pipeline,
-// its --protocol=text TCP mode, and sanitizer_netclient (which parses the
-// same scripts and executes them over binary frames).
+// The serverd line protocol, factored out of the daemon so both of its
+// drivers speak it identically: sanitizer_serverd's stdin pipeline and
+// sanitizer_netclient (which parses the same scripts and executes them
+// over binary frames). It is a client-side codec; the TCP server speaks
+// frames only.
 //
 // One input line maps to one reply ("OK ..." or "ERR ..."); blank
 // lines and #-comments reply with the empty string, which transports
@@ -65,9 +66,8 @@ class TextProtocol {
         gen_pool_(gen_pool) {}
 
   // Parses and executes one line; `done` fires exactly once. Returns
-  // false when the line is QUIT (after acking "OK bye") — the transport
-  // decides what quitting means (stdin stops reading; TCP keeps the
-  // connection for the client to close).
+  // false when the line is QUIT (after acking "OK bye") — the driver
+  // decides what quitting means (both stop reading their input).
   bool Handle(const std::string& line, Done done);
 
  private:

@@ -1,4 +1,4 @@
-#include "core/dump.h"
+#include "core/ump.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,15 @@ namespace privsan {
 namespace {
 
 using testing_fixtures::SmallSyntheticLog;
+using testing_fixtures::SolveCold;
 using testing_fixtures::TwoUserSharedLog;
+
+// One cold D-UMP solve at `params`.
+Result<UmpSolution> ColdDump(const SearchLog& log,
+                             const PrivacyParams& params,
+                             DumpSpec spec = {}) {
+  return SolveCold(MakeDumpProblem, log, {params}, spec);
+}
 
 TEST(DumpTest, BuildBipShape) {
   SearchLog log = testing_fixtures::Figure1Preprocessed();
@@ -35,15 +43,15 @@ TEST(DumpTest, AllSolversProduceFeasibleSolutions) {
   for (DumpSolverKind kind :
        {DumpSolverKind::kSpe, DumpSolverKind::kGreedy,
         DumpSolverKind::kLpRounding, DumpSolverKind::kBranchAndBound}) {
-    DumpOptions options;
-    options.solver = kind;
-    options.bnb.max_nodes = 30;  // budgeted exact solver
-    options.bnb.time_limit_seconds = 10;
-    DumpResult result = SolveDump(log, params, options).value();
+    DumpSpec spec;
+    spec.solver = kind;
+    spec.bnb.max_nodes = 30;  // budgeted exact solver
+    spec.bnb.time_limit_seconds = 10;
+    UmpSolution result = ColdDump(log, params, spec).value();
     std::vector<uint8_t> y(result.x.begin(), result.x.end());
     EXPECT_TRUE(problem.IsFeasible(y))
         << DumpSolverKindToString(kind);
-    EXPECT_GT(result.retained, 0) << DumpSolverKindToString(kind);
+    EXPECT_GT(result.output_size, 0u) << DumpSolverKindToString(kind);
     for (uint64_t v : result.x) EXPECT_LE(v, 1u);
   }
 }
@@ -53,9 +61,8 @@ TEST(DumpTest, SolutionsPassAudit) {
   PrivacyParams params = PrivacyParams::FromEEpsilon(1.4, 0.1);
   for (DumpSolverKind kind : {DumpSolverKind::kSpe, DumpSolverKind::kGreedy,
                               DumpSolverKind::kLpRounding}) {
-    DumpOptions options;
-    options.solver = kind;
-    DumpResult result = SolveDump(log, params, options).value();
+    UmpSolution result =
+        ColdDump(log, params, DumpSpec{.solver = kind}).value();
     AuditReport audit = AuditSolution(log, params, result.x).value();
     EXPECT_TRUE(audit.satisfies_privacy)
         << DumpSolverKindToString(kind) << ": " << audit.ToString();
@@ -65,49 +72,47 @@ TEST(DumpTest, SolutionsPassAudit) {
 TEST(DumpTest, DiversityRatioConsistent) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  DumpResult result = SolveDump(log, params).value();
-  EXPECT_NEAR(result.diversity_ratio, DiversityRatio(result.x), 1e-12);
-  EXPECT_NEAR(result.diversity_ratio,
-              static_cast<double>(result.retained) / log.num_pairs(), 1e-12);
+  UmpSolution result = ColdDump(log, params).value();
+  EXPECT_EQ(result.objective_value, static_cast<double>(result.output_size));
+  EXPECT_NEAR(DiversityRatio(result.x),
+              static_cast<double>(result.output_size) / log.num_pairs(),
+              1e-12);
 }
 
 TEST(DumpTest, ExactSolverOptimalOnTinyInstance) {
   SearchLog log = TwoUserSharedLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  DumpOptions options;
-  options.solver = DumpSolverKind::kBranchAndBound;
-  DumpResult result = SolveDump(log, params, options).value();
+  const DumpSpec exact{.solver = DumpSolverKind::kBranchAndBound};
+  UmpSolution result = ColdDump(log, params, exact).value();
   EXPECT_TRUE(result.proven_optimal);
-  EXPECT_EQ(result.retained, 1);
+  EXPECT_EQ(result.output_size, 1u);
 }
 
 TEST(DumpTest, SpeMatchesExactOnTinyInstance) {
   SearchLog log = TwoUserSharedLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  DumpOptions spe;
-  spe.solver = DumpSolverKind::kSpe;
-  DumpOptions exact;
-  exact.solver = DumpSolverKind::kBranchAndBound;
-  EXPECT_EQ(SolveDump(log, params, spe).value().retained,
-            SolveDump(log, params, exact).value().retained);
+  const DumpSpec spe{.solver = DumpSolverKind::kSpe};
+  const DumpSpec exact{.solver = DumpSolverKind::kBranchAndBound};
+  EXPECT_EQ(ColdDump(log, params, spe).value().output_size,
+            ColdDump(log, params, exact).value().output_size);
 }
 
 TEST(DumpTest, DiversityMonotoneInBudget) {
   SearchLog log = SmallSyntheticLog();
-  double prev = 0.0;
+  uint64_t prev = 0;
   for (double delta : {1e-3, 1e-2, 1e-1, 0.5}) {
-    DumpResult result =
-        SolveDump(log, PrivacyParams::FromEEpsilon(2.0, delta)).value();
-    EXPECT_GE(result.diversity_ratio, prev - 1e-12) << "delta=" << delta;
-    prev = result.diversity_ratio;
+    UmpSolution result =
+        ColdDump(log, PrivacyParams::FromEEpsilon(2.0, delta)).value();
+    EXPECT_GE(result.output_size, prev) << "delta=" << delta;
+    prev = result.output_size;
   }
 }
 
 TEST(DumpTest, WallSecondsPopulated) {
   SearchLog log = SmallSyntheticLog();
-  DumpResult result =
-      SolveDump(log, PrivacyParams::FromEEpsilon(2.0, 0.5)).value();
-  EXPECT_GE(result.wall_seconds, 0.0);
+  UmpSolution result =
+      ColdDump(log, PrivacyParams::FromEEpsilon(2.0, 0.5)).value();
+  EXPECT_GE(result.stats.wall_seconds, 0.0);
 }
 
 TEST(DumpTest, SolverKindNames) {

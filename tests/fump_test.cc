@@ -1,11 +1,9 @@
-#include "core/fump.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/audit.h"
-#include "core/oump.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "test_fixtures.h"
 
@@ -13,26 +11,30 @@ namespace privsan {
 namespace {
 
 using testing_fixtures::SmallSyntheticLog;
+using testing_fixtures::SolveCold;
+using testing_fixtures::SolveOumpCold;
 using testing_fixtures::TwoUserSharedLog;
 
+// One cold F-UMP solve of output size `size` at `params`.
+Result<UmpSolution> ColdFump(const SearchLog& log, const PrivacyParams& params,
+                             uint64_t size, double min_support) {
+  return SolveCold(MakeFumpProblem, log, {params, size},
+                   FumpSpec{.min_support = min_support});
+}
+
 TEST(FumpTest, RequiresOutputSize) {
-  FumpOptions options;
-  options.output_size = 0;
-  EXPECT_EQ(SolveFump(TwoUserSharedLog(), PrivacyParams{1.0, 0.5}, options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ColdFump(TwoUserSharedLog(), PrivacyParams{1.0, 0.5}, 0, 1.0 / 500)
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(FumpTest, RejectsBadSupport) {
-  FumpOptions options;
-  options.output_size = 1;
-  options.min_support = 0.0;
   EXPECT_FALSE(
-      SolveFump(TwoUserSharedLog(), PrivacyParams{1.0, 0.5}, options).ok());
-  options.min_support = 1.5;
+      ColdFump(TwoUserSharedLog(), PrivacyParams{1.0, 0.5}, 1, 0.0).ok());
   EXPECT_FALSE(
-      SolveFump(TwoUserSharedLog(), PrivacyParams{1.0, 0.5}, options).ok());
+      ColdFump(TwoUserSharedLog(), PrivacyParams{1.0, 0.5}, 1, 1.5).ok());
 }
 
 TEST(FumpTest, FrequentPairsDetection) {
@@ -51,12 +53,10 @@ TEST(FumpTest, TwoUserAnalyticOptimum) {
   PairId q1 = *log.FindPair("q1", "u1");
   PairId q2 = *log.FindPair("q2", "u2");
 
-  FumpOptions options;
-  options.min_support = 0.1;  // both pairs frequent
-  options.output_size = 2;
   PrivacyParams params = PrivacyParams::FromEEpsilon(4.0, 0.75);
-  FumpResult result = SolveFump(log, params, options).value();
-  EXPECT_NEAR(result.support_distance_sum, 1.25, 1e-6);
+  // min_support 0.1: both pairs frequent.
+  UmpSolution result = ColdFump(log, params, 2, 0.1).value();
+  EXPECT_NEAR(result.objective_value, 1.25, 1e-6);
   EXPECT_NEAR(result.x_relaxed[q1], 0.0, 1e-7);
   EXPECT_NEAR(result.x_relaxed[q2], 2.0, 1e-7);
   EXPECT_EQ(result.x[q2], 2u);
@@ -65,23 +65,16 @@ TEST(FumpTest, TwoUserAnalyticOptimum) {
 TEST(FumpTest, InfeasibleWhenOutputSizeExceedsLambda) {
   SearchLog log = TwoUserSharedLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(4.0, 0.75);  // lambda = 2
-  FumpOptions options;
-  options.min_support = 0.1;
-  options.output_size = 3;
-  EXPECT_EQ(SolveFump(log, params, options).status().code(),
+  EXPECT_EQ(ColdFump(log, params, 3, 0.1).status().code(),
             StatusCode::kInfeasible);
 }
 
 TEST(FumpTest, SolutionSatisfiesConstraintsAndAudit) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
-
-  FumpOptions options;
-  options.min_support = 1.0 / 100;
-  options.output_size = oump.lambda / 2;
-  ASSERT_GT(options.output_size, 0u);
-  FumpResult result = SolveFump(log, params, options).value();
+  const uint64_t size = SolveOumpCold(log, params).value().output_size / 2;
+  ASSERT_GT(size, 0u);
+  UmpSolution result = ColdFump(log, params, size, 1.0 / 100).value();
 
   DpConstraintSystem system = DpConstraintSystem::Build(log, params).value();
   EXPECT_TRUE(system.IsSatisfied(result.x));
@@ -92,15 +85,11 @@ TEST(FumpTest, SolutionSatisfiesConstraintsAndAudit) {
 TEST(FumpTest, RealizedSizeNearRequested) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
-  FumpOptions options;
-  options.min_support = 1.0 / 100;
-  options.output_size = oump.lambda / 2;
-  FumpResult result = SolveFump(log, params, options).value();
+  const uint64_t size = SolveOumpCold(log, params).value().output_size / 2;
+  UmpSolution result = ColdFump(log, params, size, 1.0 / 100).value();
   // Flooring loses at most one click per pair.
-  EXPECT_LE(result.realized_output_size, options.output_size);
-  EXPECT_GE(result.realized_output_size + log.num_pairs(),
-            options.output_size);
+  EXPECT_LE(result.output_size, size);
+  EXPECT_GE(result.output_size + log.num_pairs(), size);
 }
 
 TEST(FumpTest, PrecisionIsOne) {
@@ -109,12 +98,9 @@ TEST(FumpTest, PrecisionIsOne) {
   // support can only improve the objective.
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
+  const uint64_t size = SolveOumpCold(log, params).value().output_size / 2;
   for (double support : {1.0 / 50, 1.0 / 100, 1.0 / 250}) {
-    FumpOptions options;
-    options.min_support = support;
-    options.output_size = oump.lambda / 2;
-    FumpResult result = SolveFump(log, params, options).value();
+    UmpSolution result = ColdFump(log, params, size, support).value();
     PrecisionRecall pr = FrequentPairMetrics(log, result.x, support);
     EXPECT_DOUBLE_EQ(pr.precision, 1.0) << "s=" << support;
   }
@@ -126,12 +112,11 @@ TEST(FumpTest, RecallImprovesWithBudget) {
   double prev_recall = -1.0;
   for (double e_eps : {1.01, 1.4, 2.3}) {
     PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, 0.5);
-    OumpResult oump = SolveOump(log, params).value();
-    if (oump.lambda == 0) continue;  // budget too tight for any output
-    FumpOptions options;
-    options.min_support = support;
-    options.output_size = std::max<uint64_t>(1, oump.lambda / 2);
-    FumpResult result = SolveFump(log, params, options).value();
+    const uint64_t lambda = SolveOumpCold(log, params).value().output_size;
+    if (lambda == 0) continue;  // budget too tight for any output
+    UmpSolution result =
+        ColdFump(log, params, std::max<uint64_t>(1, lambda / 2), support)
+            .value();
     PrecisionRecall pr = FrequentPairMetrics(log, result.x, support);
     EXPECT_GE(pr.recall, prev_recall - 0.1)  // allow small non-monotone noise
         << "e_eps=" << e_eps;
@@ -144,21 +129,18 @@ TEST(FumpTest, ObjectiveIsSupportDistanceSum) {
   // solution.
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
-  FumpOptions options;
-  options.min_support = 1.0 / 100;
-  options.output_size = oump.lambda / 2;
-  FumpResult result = SolveFump(log, params, options).value();
+  const uint64_t size = SolveOumpCold(log, params).value().output_size / 2;
+  UmpSolution result = ColdFump(log, params, size, 1.0 / 100).value();
 
   const double total = static_cast<double>(log.total_clicks());
   double recomputed = 0.0;
   for (PairId f : result.frequent_pairs) {
     const double input_support = static_cast<double>(log.pair_total(f)) / total;
     const double output_support =
-        result.x_relaxed[f] / static_cast<double>(options.output_size);
+        result.x_relaxed[f] / static_cast<double>(size);
     recomputed += std::abs(output_support - input_support);
   }
-  EXPECT_NEAR(recomputed, result.support_distance_sum, 1e-6);
+  EXPECT_NEAR(recomputed, result.objective_value, 1e-6);
 }
 
 }  // namespace

@@ -7,11 +7,9 @@
 #include <numeric>
 
 #include "core/audit.h"
-#include "core/dump.h"
-#include "core/fump.h"
-#include "core/oump.h"
 #include "core/sampler.h"
-#include "core/sanitizer.h"
+#include "core/session.h"
+#include "core/ump.h"
 #include "log/log_io.h"
 #include "log/preprocess.h"
 #include "metrics/utility_metrics.h"
@@ -20,6 +18,9 @@
 
 namespace privsan {
 namespace {
+
+using testing_fixtures::SolveCold;
+using testing_fixtures::SolveOumpCold;
 
 struct GridPoint {
   double e_epsilon;
@@ -42,12 +43,12 @@ TEST_P(PipelineGridTest, OumpPipelinePrivateAcrossGrid) {
       PrivacyParams::FromEEpsilon(point.e_epsilon, point.delta);
   SearchLog log = testing_fixtures::SmallSyntheticLog();
 
-  OumpResult oump = SolveOump(log, params).value();
+  UmpSolution oump = SolveOumpCold(log, params).value();
   AuditReport audit = AuditSolution(log, params, oump.x).value();
   EXPECT_TRUE(audit.satisfies_privacy) << audit.ToString();
 
   SearchLog output = SampleOutput(log, oump.x, 5).value();
-  EXPECT_EQ(output.total_clicks(), oump.lambda);
+  EXPECT_EQ(output.total_clicks(), oump.output_size);
 }
 
 TEST_P(PipelineGridTest, DumpSpePrivateAcrossGrid) {
@@ -56,7 +57,7 @@ TEST_P(PipelineGridTest, DumpSpePrivateAcrossGrid) {
       PrivacyParams::FromEEpsilon(point.e_epsilon, point.delta);
   SearchLog log = testing_fixtures::SmallSyntheticLog();
 
-  DumpResult dump = SolveDump(log, params).value();
+  UmpSolution dump = SolveCold(MakeDumpProblem, log, {params}).value();
   AuditReport audit = AuditSolution(log, params, dump.x).value();
   EXPECT_TRUE(audit.satisfies_privacy) << audit.ToString();
 }
@@ -71,11 +72,10 @@ TEST_P(SeedSweepTest, FullPipelineOnFreshWorkload) {
   config.seed = GetParam();
   SearchLog raw = GenerateSearchLog(config).value();
 
-  SanitizerConfig sanitizer_config;
-  sanitizer_config.privacy = PrivacyParams::FromEEpsilon(1.7, 0.2);
-  sanitizer_config.seed = GetParam() * 31 + 1;
-  Sanitizer sanitizer(sanitizer_config);
-  auto report = sanitizer.Sanitize(raw);
+  SessionOptions options;
+  options.seed = GetParam() * 31 + 1;
+  auto report = testing_fixtures::SanitizeOnce(
+      raw, PrivacyParams::FromEEpsilon(1.7, 0.2), options);
   if (!report.ok()) {
     // Only acceptable failure: a degenerate workload with nothing shared.
     EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
@@ -102,15 +102,15 @@ TEST(IntegrationTest, OumpDominatesFumpAndDumpInSize) {
   SearchLog log = testing_fixtures::SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
 
-  OumpResult oump = SolveOump(log, params).value();
-  DumpResult dump = SolveDump(log, params).value();
-  EXPECT_LE(static_cast<uint64_t>(dump.retained), oump.lambda);
+  UmpSolution oump = SolveOumpCold(log, params).value();
+  UmpSolution dump = SolveCold(MakeDumpProblem, log, {params}).value();
+  EXPECT_LE(dump.output_size, oump.output_size);
 
-  FumpOptions fump_options;
-  fump_options.min_support = 1.0 / 100;
-  fump_options.output_size = oump.lambda;
-  FumpResult fump = SolveFump(log, params, fump_options).value();
-  EXPECT_LE(fump.realized_output_size, oump.lambda);
+  UmpSolution fump = SolveCold(MakeFumpProblem, log,
+                               {params, oump.output_size},
+                               FumpSpec{.min_support = 1.0 / 100})
+                         .value();
+  EXPECT_LE(fump.output_size, oump.output_size);
 }
 
 TEST(IntegrationTest, FumpPreservesSupportsBetterThanOump) {
@@ -120,11 +120,11 @@ TEST(IntegrationTest, FumpPreservesSupportsBetterThanOump) {
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
   const double support = 1.0 / 100;
 
-  OumpResult oump = SolveOump(log, params).value();
-  FumpOptions options;
-  options.min_support = support;
-  options.output_size = oump.lambda;
-  FumpResult fump = SolveFump(log, params, options).value();
+  UmpSolution oump = SolveOumpCold(log, params).value();
+  UmpSolution fump = SolveCold(MakeFumpProblem, log,
+                               {params, oump.output_size},
+                               FumpSpec{.min_support = support})
+                         .value();
 
   const double fump_distance = SupportDistanceSum(log, fump.x, support);
   const double oump_distance = SupportDistanceSum(log, oump.x, support);
@@ -134,7 +134,7 @@ TEST(IntegrationTest, FumpPreservesSupportsBetterThanOump) {
 TEST(IntegrationTest, SampledOutputRoundTripsThroughTsv) {
   SearchLog log = testing_fixtures::SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
+  UmpSolution oump = SolveOumpCold(log, params).value();
   SearchLog output = SampleOutput(log, oump.x, 17).value();
 
   const std::string path = "/tmp/privsan_integration_roundtrip.tsv";
@@ -169,12 +169,12 @@ TEST(IntegrationTest, LambdaFractionsInPaperBand) {
   // Table 4 reports 7.08%-26.2% of |D| across the grid; assert the synthetic
   // reproduction lands in a compatible order of magnitude at the extremes.
   SearchLog log = testing_fixtures::SmallSyntheticLog();
-  OumpResult loose =
-      SolveOump(log, PrivacyParams::FromEEpsilon(2.3, 0.8)).value();
-  OumpResult tight =
-      SolveOump(log, PrivacyParams::FromEEpsilon(1.001, 1e-4)).value();
-  EXPECT_LT(tight.lambda, loose.lambda);
-  EXPECT_GT(loose.lambda, 0u);
+  UmpSolution loose =
+      SolveOumpCold(log, PrivacyParams::FromEEpsilon(2.3, 0.8)).value();
+  UmpSolution tight =
+      SolveOumpCold(log, PrivacyParams::FromEEpsilon(1.001, 1e-4)).value();
+  EXPECT_LT(tight.output_size, loose.output_size);
+  EXPECT_GT(loose.output_size, 0u);
 }
 
 }  // namespace

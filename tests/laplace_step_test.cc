@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/audit.h"
-#include "core/oump.h"
 #include "log/preprocess.h"
 #include "test_fixtures.h"
 
@@ -11,6 +10,7 @@ namespace privsan {
 namespace {
 
 using testing_fixtures::SmallSyntheticLog;
+using testing_fixtures::SolveOumpCold;
 
 TEST(LaplaceStepTest, RejectsBadOptions) {
   SearchLog log = SmallSyntheticLog();
@@ -34,7 +34,7 @@ TEST(LaplaceStepTest, RejectsWrongSize) {
 TEST(LaplaceStepTest, RepairedCountsSatisfyConstraints) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(1.4, 0.1);
-  OumpResult oump = SolveOump(log, params).value();
+  UmpSolution oump = SolveOumpCold(log, params).value();
 
   LaplaceStepOptions options;
   options.d = 2.0;
@@ -52,7 +52,7 @@ TEST(LaplaceStepTest, RepairedCountsSatisfyConstraints) {
 TEST(LaplaceStepTest, RepairScaleAtMostOne) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(1.4, 0.1);
-  OumpResult oump = SolveOump(log, params).value();
+  UmpSolution oump = SolveOumpCold(log, params).value();
   LaplaceStepOptions options;
   options.d = 1.0;
   options.epsilon_prime = 1.0;
@@ -65,7 +65,7 @@ TEST(LaplaceStepTest, RepairScaleAtMostOne) {
 TEST(LaplaceStepTest, SmallNoiseKeepsCountsClose) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
+  UmpSolution oump = SolveOumpCold(log, params).value();
   LaplaceStepOptions options;
   options.d = 0.01;        // tiny sensitivity bound
   options.epsilon_prime = 10.0;  // scale d/eps' = 0.001
@@ -85,7 +85,7 @@ TEST(LaplaceStepTest, SmallNoiseKeepsCountsClose) {
 TEST(LaplaceStepTest, DeterministicInSeed) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
+  UmpSolution oump = SolveOumpCold(log, params).value();
   LaplaceStepOptions options;
   options.seed = 77;
   LaplaceStepResult a =

@@ -3,7 +3,7 @@
 // pipelined bursts, admission-control statuses crossing the wire intact,
 // error containment (well-framed-but-undecodable requests answer and the
 // connection survives; frame-layer garbage answers once and closes), EOF
-// draining every in-flight reply, and the text-mode line handler.
+// draining every in-flight reply, and read pausing under backpressure.
 #include "net/server.h"
 
 #include <sys/socket.h>
@@ -12,8 +12,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,8 +60,7 @@ class ServerThread {
     server_ = std::make_unique<NetServer>(service);
     StartAndRun();
   }
-  explicit ServerThread(NetServer::TextHandler handler,
-                        net::ServerOptions options = {}) {
+  ServerThread(NetServer::FrameHandler handler, net::ServerOptions options) {
     server_ = std::make_unique<NetServer>(std::move(handler), options);
     StartAndRun();
   }
@@ -314,28 +317,51 @@ TEST(NetClientTest, ReceiveTimesOutOnSilentServer) {
 }
 
 // Backpressure: under tiny pending/outbuf caps, a connection pumping a
-// large pipelined burst pauses and resumes its reads rather than queueing
-// without bound — and still answers every line, in order.
+// large pipelined burst stops reading while its replies are outstanding
+// rather than queueing without bound — and once replies flow again it
+// resumes and answers every request, in order.
 TEST(NetServerTest, BackpressurePausesReadsWithoutLosingReplies) {
   net::ServerOptions options;
   options.max_pending_replies = 4;
   options.max_outbuf_bytes = 1u << 12;
+  // Echo handler: each Stats request answers with its tenant name. Until
+  // `release` is set, replies are parked instead of sent.
+  using Respond = std::function<void(serve::ServeResponse)>;
+  std::mutex mu;
+  bool release = false;
+  std::vector<std::pair<std::string, Respond>> parked;
+  auto echo = [](const std::string& tenant, const Respond& respond) {
+    respond({Status::OK(), serve::MetricsText{"ACK " + tenant}});
+  };
   ServerThread server(
-      NetServer::TextHandler([](std::string line, NetServer::TextDone done) {
-        done("ACK " + line + "\n");
-      }),
+      NetServer::FrameHandler(
+          [&](serve::ServeRequest request, Respond respond) {
+            std::string tenant =
+                std::get<serve::StatsRequest>(request).tenant;
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              if (!release) {
+                parked.emplace_back(std::move(tenant), std::move(respond));
+                return;
+              }
+            }
+            echo(tenant, respond);
+          }),
       options);
 
-  const int kLines = 20000;
+  const int kRequests = 20000;
+  auto tenant = [](int i) {
+    return "line-" + std::to_string(i) + "-" + std::string(32, 'x');
+  };
   const int fd = net::ConnectTcp(server.port()).value();
   // Writer on its own thread: with the server's reads paused the kernel
   // buffers fill and the writes themselves block until the reader drains.
-  std::thread writer([fd] {
+  std::thread writer([fd, &tenant] {
     std::string chunk;
-    for (int i = 0; i < kLines; ++i) {
-      chunk += "line-" + std::to_string(i) + "-" + std::string(32, 'x') +
-               "\n";
-      if (chunk.size() > 32768 || i == kLines - 1) {
+    for (int i = 0; i < kRequests; ++i) {
+      chunk += net::EncodeFrame(
+          net::EncodeRequest(serve::StatsRequest{tenant(i)}, i + 1).value());
+      if (chunk.size() > 32768 || i == kRequests - 1) {
         size_t sent = 0;
         while (sent < chunk.size()) {
           const ssize_t n =
@@ -348,53 +374,49 @@ TEST(NetServerTest, BackpressurePausesReadsWithoutLosingReplies) {
     }
     ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
   });
-  std::string out;
+
+  // With every reply outstanding the server must stop reading: the parked
+  // count settles far below the burst (the caps are soft — checked between
+  // 64 KiB read chunks — so one chunk of frames may overshoot them).
+  size_t settled = 0;
+  for (int stable = 0, polls = 0; stable < 5 && polls < 500; ++polls) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::lock_guard<std::mutex> lock(mu);
+    stable = parked.size() == settled && settled > 0 ? stable + 1 : 0;
+    settled = parked.size();
+  }
+  EXPECT_LT(settled, static_cast<size_t>(kRequests / 4));
+
+  std::vector<std::pair<std::string, Respond>> backlog;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    backlog.swap(parked);
+  }
+  for (const auto& [name, respond] : backlog) echo(name, respond);
+
+  FrameDecoder decoder;
+  int next = 0;
   char buf[64 * 1024];
   while (true) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));
     ASSERT_GE(n, 0);
     if (n == 0) break;
-    out.append(buf, static_cast<size_t>(n));
+    decoder.Feed(buf, static_cast<size_t>(n));
+    Frame frame;
+    while (decoder.Next(&frame).value()) {
+      // Every request answered, in order.
+      ASSERT_EQ(frame.request_id, static_cast<uint64_t>(next + 1));
+      const serve::ServeResponse response =
+          net::DecodeResponse(frame).value();
+      ASSERT_NE(response.metrics(), nullptr) << "reply " << next;
+      ASSERT_EQ(response.metrics()->text, "ACK " + tenant(next));
+      ++next;
+    }
   }
   writer.join();
   ::close(fd);
-  // Every line answered, in order.
-  int next = 0;
-  size_t at = 0;
-  while (at < out.size()) {
-    const std::string expected =
-        "ACK line-" + std::to_string(next) + "-" + std::string(32, 'x') +
-        "\n";
-    ASSERT_EQ(out.compare(at, expected.size(), expected), 0)
-        << "reply " << next;
-    at += expected.size();
-    ++next;
-  }
-  EXPECT_EQ(next, kLines);
-}
-
-// Text mode: lines in, handler replies out, in line order.
-TEST(NetServerTest, TextModeServesLinesInOrder) {
-  ServerThread server(NetServer::TextHandler(
-      [](std::string line, NetServer::TextDone done) {
-        done("ACK " + line + "\n");
-      }));
-
-  const int fd = net::ConnectTcp(server.port()).value();
-  const std::string lines = "alpha\r\nbeta\ngamma\n";
-  ASSERT_EQ(::write(fd, lines.data(), lines.size()),
-            static_cast<ssize_t>(lines.size()));
-  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
-  std::string out;
-  char buf[4096];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    ASSERT_GE(n, 0);
-    if (n == 0) break;
-    out.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  EXPECT_EQ(out, "ACK alpha\nACK beta\nACK gamma\n");
+  EXPECT_EQ(next, kRequests);
 }
 
 }  // namespace

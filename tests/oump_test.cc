@@ -1,4 +1,4 @@
-#include "core/oump.h"
+#include "core/ump.h"
 
 #include <gtest/gtest.h>
 
@@ -12,11 +12,12 @@ namespace {
 
 using testing_fixtures::Figure1Preprocessed;
 using testing_fixtures::SmallSyntheticLog;
+using testing_fixtures::SolveOumpCold;
 using testing_fixtures::TwoUserSharedLog;
 
 TEST(OumpTest, RejectsUnpreprocessedLog) {
   auto result =
-      SolveOump(testing_fixtures::Figure1Log(), PrivacyParams{1.0, 0.5});
+      SolveOumpCold(testing_fixtures::Figure1Log(), PrivacyParams{1.0, 0.5});
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
@@ -31,31 +32,31 @@ TEST(OumpTest, TwoUserAnalyticOptimum) {
 
   PrivacyParams params = PrivacyParams::FromEEpsilon(4.0, 0.75);
   // B = min(log 4, log 4) = 2 log 2 -> x2 = 2.
-  OumpResult result = SolveOump(log, params).value();
-  EXPECT_NEAR(result.lp_objective, 2.0, 1e-7);
-  EXPECT_EQ(result.lambda, 2u);
+  UmpSolution result = SolveOumpCold(log, params).value();
+  EXPECT_NEAR(result.objective_value, 2.0, 1e-7);
+  EXPECT_EQ(result.output_size, 2u);
   EXPECT_EQ(result.x[q2], 2u);
 }
 
 TEST(OumpTest, LambdaScalesWithBudget) {
   SearchLog log = TwoUserSharedLog();
   // B = log 2 -> relaxed optimum exactly 1.0.
-  OumpResult one =
-      SolveOump(log, PrivacyParams::FromEEpsilon(2.0, 0.5)).value();
-  EXPECT_NEAR(one.lp_objective, 1.0, 1e-7);
+  UmpSolution one =
+      SolveOumpCold(log, PrivacyParams::FromEEpsilon(2.0, 0.5)).value();
+  EXPECT_NEAR(one.objective_value, 1.0, 1e-7);
   // B = 3 log 2 -> 3.0.
-  OumpResult three =
-      SolveOump(log, PrivacyParams::FromEEpsilon(8.0, 0.875)).value();
-  EXPECT_NEAR(three.lp_objective, 3.0, 1e-7);
+  UmpSolution three =
+      SolveOumpCold(log, PrivacyParams::FromEEpsilon(8.0, 0.875)).value();
+  EXPECT_NEAR(three.objective_value, 3.0, 1e-7);
 }
 
 TEST(OumpTest, SolutionSatisfiesConstraints) {
   SearchLog log = Figure1Preprocessed();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult result = SolveOump(log, params).value();
+  UmpSolution result = SolveOumpCold(log, params).value();
   DpConstraintSystem system = DpConstraintSystem::Build(log, params).value();
   EXPECT_TRUE(system.IsSatisfied(result.x));
-  EXPECT_GT(result.lambda, 0u);
+  EXPECT_GT(result.output_size, 0u);
 }
 
 TEST(OumpTest, RoundedTotalBelowLpBound) {
@@ -64,26 +65,27 @@ TEST(OumpTest, RoundedTotalBelowLpBound) {
   // feasible point and can never exceed the LP optimum.
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult result = SolveOump(log, params).value();
-  EXPECT_LE(static_cast<double>(result.lambda), result.lp_objective + 1e-6);
+  UmpSolution result = SolveOumpCold(log, params).value();
+  EXPECT_LE(static_cast<double>(result.output_size),
+            result.objective_value + 1e-6);
   DpConstraintSystem system = DpConstraintSystem::Build(log, params).value();
   EXPECT_TRUE(system.IsSatisfied(result.x));
 }
 
 TEST(OumpTest, ScaledRoundingMatchesDirectSolve) {
-  // RoundScaledOump must agree with SolveOump: the LP scales linearly in
-  // the budget, so the relaxed vertex (and hence the rounding) coincide.
+  // RoundScaledOump must agree with a direct solve: the LP scales linearly
+  // in the budget, so the relaxed vertex (and hence the rounding) coincide.
   SearchLog log = SmallSyntheticLog();
-  OumpScalingBase base = SolveOumpUnitBudget(log).value();
+  UmpSolution base = SolveOumpUnitBudget(log).value();
   for (double e_eps : {1.1, 1.7, 2.3}) {
     for (double delta : {0.01, 0.2, 0.8}) {
       PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      OumpResult direct = SolveOump(log, params).value();
-      OumpResult scaled = RoundScaledOump(log, params, base).value();
-      EXPECT_EQ(direct.lambda, scaled.lambda)
+      UmpSolution direct = SolveOumpCold(log, params).value();
+      UmpSolution scaled = RoundScaledOump(log, params, base).value();
+      EXPECT_EQ(direct.output_size, scaled.output_size)
           << "e_eps=" << e_eps << " delta=" << delta;
-      EXPECT_NEAR(direct.lp_objective, scaled.lp_objective,
-                  1e-6 * (1.0 + direct.lp_objective));
+      EXPECT_NEAR(direct.objective_value, scaled.objective_value,
+                  1e-6 * (1.0 + direct.objective_value));
     }
   }
 }
@@ -92,10 +94,10 @@ TEST(OumpTest, LambdaMonotoneInEpsilon) {
   SearchLog log = SmallSyntheticLog();
   uint64_t prev = 0;
   for (double e_eps : {1.001, 1.01, 1.1, 1.4, 1.7, 2.0, 2.3}) {
-    OumpResult result =
-        SolveOump(log, PrivacyParams::FromEEpsilon(e_eps, 0.1)).value();
-    EXPECT_GE(result.lambda, prev) << "e_eps=" << e_eps;
-    prev = result.lambda;
+    UmpSolution result =
+        SolveOumpCold(log, PrivacyParams::FromEEpsilon(e_eps, 0.1)).value();
+    EXPECT_GE(result.output_size, prev) << "e_eps=" << e_eps;
+    prev = result.output_size;
   }
 }
 
@@ -103,10 +105,10 @@ TEST(OumpTest, LambdaMonotoneInDelta) {
   SearchLog log = SmallSyntheticLog();
   uint64_t prev = 0;
   for (double delta : {1e-4, 1e-3, 1e-2, 1e-1, 0.2, 0.5, 0.8}) {
-    OumpResult result =
-        SolveOump(log, PrivacyParams::FromEEpsilon(1.7, delta)).value();
-    EXPECT_GE(result.lambda, prev) << "delta=" << delta;
-    prev = result.lambda;
+    UmpSolution result =
+        SolveOumpCold(log, PrivacyParams::FromEEpsilon(1.7, delta)).value();
+    EXPECT_GE(result.output_size, prev) << "delta=" << delta;
+    prev = result.output_size;
   }
 }
 
@@ -115,29 +117,32 @@ TEST(OumpTest, LambdaPlateausWhenDeltaBinds) {
   // above that produces the identical budget, hence identical lambda.
   // This is the column structure of Table 4.
   SearchLog log = SmallSyntheticLog();
-  OumpResult a = SolveOump(log, PrivacyParams::FromEEpsilon(1.1, 1e-3)).value();
-  OumpResult b = SolveOump(log, PrivacyParams::FromEEpsilon(2.3, 1e-3)).value();
-  EXPECT_EQ(a.lambda, b.lambda);
+  UmpSolution a =
+      SolveOumpCold(log, PrivacyParams::FromEEpsilon(1.1, 1e-3)).value();
+  UmpSolution b =
+      SolveOumpCold(log, PrivacyParams::FromEEpsilon(2.3, 1e-3)).value();
+  EXPECT_EQ(a.output_size, b.output_size);
 }
 
 TEST(OumpTest, LambdaPlateausWhenEpsilonBinds) {
   // Row structure of Table 4: with e^eps = 1.01, every delta whose
   // log(1/(1-delta)) exceeds log(1.01) gives the same budget.
   SearchLog log = SmallSyntheticLog();
-  OumpResult a = SolveOump(log, PrivacyParams::FromEEpsilon(1.01, 0.1)).value();
-  OumpResult b = SolveOump(log, PrivacyParams::FromEEpsilon(1.01, 0.8)).value();
-  EXPECT_EQ(a.lambda, b.lambda);
+  UmpSolution a =
+      SolveOumpCold(log, PrivacyParams::FromEEpsilon(1.01, 0.1)).value();
+  UmpSolution b =
+      SolveOumpCold(log, PrivacyParams::FromEEpsilon(1.01, 0.8)).value();
+  EXPECT_EQ(a.output_size, b.output_size);
 }
 
 TEST(OumpTest, CapCountsAtInputReducesLambda) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.3, 0.8);
-  OumpOptions uncapped;
-  OumpOptions capped;
-  capped.cap_counts_at_input = true;
-  OumpResult u = SolveOump(log, params, uncapped).value();
-  OumpResult c = SolveOump(log, params, capped).value();
-  EXPECT_LE(c.lambda, u.lambda);
+  UmpSolution u = SolveOumpCold(log, params).value();
+  UmpSolution c =
+      SolveOumpCold(log, params, OumpSpec{.cap_counts_at_input = true})
+          .value();
+  EXPECT_LE(c.output_size, u.output_size);
   for (PairId p = 0; p < log.num_pairs(); ++p) {
     EXPECT_LE(c.x[p], log.pair_total(p));
   }
@@ -146,7 +151,7 @@ TEST(OumpTest, CapCountsAtInputReducesLambda) {
 TEST(OumpTest, SolutionPassesAudit) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(1.7, 0.2);
-  OumpResult result = SolveOump(log, params).value();
+  UmpSolution result = SolveOumpCold(log, params).value();
   AuditReport audit = AuditSolution(log, params, result.x).value();
   EXPECT_TRUE(audit.satisfies_privacy) << audit.ToString();
 }
@@ -155,9 +160,9 @@ TEST(OumpTest, OutputFractionIsSubstantial) {
   // Paper: 7%-26% of |D| is retained across the grid. Assert a sane band
   // on the synthetic log at the loosest setting.
   SearchLog log = SmallSyntheticLog();
-  OumpResult result =
-      SolveOump(log, PrivacyParams::FromEEpsilon(2.3, 0.8)).value();
-  const double fraction = static_cast<double>(result.lambda) /
+  UmpSolution result =
+      SolveOumpCold(log, PrivacyParams::FromEEpsilon(2.3, 0.8)).value();
+  const double fraction = static_cast<double>(result.output_size) /
                           static_cast<double>(log.total_clicks());
   EXPECT_GT(fraction, 0.01);
   EXPECT_LT(fraction, 1.0);

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "core/oump.h"
 #include "core/privacy_params.h"
 #include "test_fixtures.h"
 
@@ -12,6 +11,7 @@ namespace privsan {
 namespace {
 
 using testing_fixtures::SmallSyntheticLog;
+using testing_fixtures::SolveOumpCold;
 using testing_fixtures::TwoUserSharedLog;
 
 TEST(PbmpTest, RejectsZeroTarget) {
@@ -59,12 +59,12 @@ TEST(PbmpTest, DualityWithOump) {
 
   // epsilon = z*, delta chosen so the delta term does not bind.
   PrivacyParams params{pbmp.min_budget, 0.999999};
-  OumpResult oump = SolveOump(log, params).value();
-  EXPECT_GE(oump.lp_objective, static_cast<double>(target) - 1e-4);
+  UmpSolution oump = SolveOumpCold(log, params).value();
+  EXPECT_GE(oump.objective_value, static_cast<double>(target) - 1e-4);
 
   PrivacyParams tighter{pbmp.min_budget * 0.9, 0.999999};
-  OumpResult less = SolveOump(log, tighter).value();
-  EXPECT_LT(less.lp_objective, static_cast<double>(target));
+  UmpSolution less = SolveOumpCold(log, tighter).value();
+  EXPECT_LT(less.objective_value, static_cast<double>(target));
 }
 
 TEST(PbmpTest, FrontierParametersConsistent) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/audit.h"
-#include "core/dump.h"
+#include "core/ump.h"
 #include "test_fixtures.h"
 
 namespace privsan {
@@ -59,7 +59,8 @@ TEST(QueryDiversityTest, CoversAtLeastAsManyQueriesAsPairDump) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
   QueryDiversityResult qd = SolveQueryDiversity(log, params).value();
-  DumpResult dump = SolveDump(log, params).value();
+  UmpSolution dump =
+      testing_fixtures::SolveCold(MakeDumpProblem, log, {params}).value();
   EXPECT_GE(qd.queries_retained,
             CountCoveredQueries(log, dump.x));
 }

@@ -1,4 +1,6 @@
-#include "core/sanitizer.h"
+// Algorithm 1 end to end on a raw log: SanitizerSession::Create followed by
+// Sanitize(privacy), for every objective.
+#include "core/session.h"
 
 #include <gtest/gtest.h>
 
@@ -8,37 +10,32 @@ namespace privsan {
 namespace {
 
 using testing_fixtures::Figure1Log;
-using testing_fixtures::SmallSyntheticLog;
+using testing_fixtures::SanitizeOnce;
 
 SearchLog RawSyntheticLog() {
   SyntheticLogConfig config = TinyConfig();
   return GenerateSearchLog(config).value();
 }
 
+const PrivacyParams kPrivacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
+
 TEST(SanitizerTest, RejectsInvalidPrivacy) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams{0.0, 0.5};
-  Sanitizer sanitizer(config);
-  EXPECT_FALSE(sanitizer.Sanitize(Figure1Log()).ok());
+  EXPECT_FALSE(SanitizeOnce(Figure1Log(), PrivacyParams{0.0, 0.5}).ok());
 }
 
 TEST(SanitizerTest, FailsWhenEverythingUnique) {
   SearchLogBuilder builder;
   builder.Add("a", "q1", "u1", 3);
   builder.Add("b", "q2", "u2", 4);
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  Sanitizer sanitizer(config);
-  EXPECT_EQ(sanitizer.Sanitize(builder.Build()).status().code(),
+  EXPECT_EQ(SanitizeOnce(builder.Build(), kPrivacy).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(SanitizerTest, OumpEndToEnd) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kOutputSize;
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SessionOptions options;
+  options.objective = UtilityObjective::kOutputSize;
+  SanitizeReport report =
+      SanitizeOnce(RawSyntheticLog(), kPrivacy, options).value();
 
   EXPECT_TRUE(report.audit.satisfies_privacy);
   EXPECT_GT(report.output_size, 0u);
@@ -47,36 +44,33 @@ TEST(SanitizerTest, OumpEndToEnd) {
 }
 
 TEST(SanitizerTest, FumpEndToEndAutoOutputSize) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kFrequentPairs;
-  config.min_support = 1.0 / 100;
-  config.output_size = 0;  // auto: lambda
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SessionOptions options;
+  options.objective = UtilityObjective::kFrequentPairs;
+  options.fump.min_support = 1.0 / 100;
+  options.output_size = 0;  // auto: lambda
+  SanitizeReport report =
+      SanitizeOnce(RawSyntheticLog(), kPrivacy, options).value();
   EXPECT_TRUE(report.audit.satisfies_privacy);
   EXPECT_GT(report.output_size, 0u);
 }
 
 TEST(SanitizerTest, FumpEndToEndExplicitOutputSize) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kFrequentPairs;
-  config.min_support = 1.0 / 100;
-  config.output_size = 20;
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SessionOptions options;
+  options.objective = UtilityObjective::kFrequentPairs;
+  options.fump.min_support = 1.0 / 100;
+  options.output_size = 20;
+  SanitizeReport report =
+      SanitizeOnce(RawSyntheticLog(), kPrivacy, options).value();
   EXPECT_LE(report.output_size, 20u);
   EXPECT_TRUE(report.audit.satisfies_privacy);
 }
 
 TEST(SanitizerTest, DumpEndToEnd) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kDiversity;
-  config.dump_solver = DumpSolverKind::kSpe;
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SessionOptions options;
+  options.objective = UtilityObjective::kDiversity;
+  options.dump.solver = DumpSolverKind::kSpe;
+  SanitizeReport report =
+      SanitizeOnce(RawSyntheticLog(), kPrivacy, options).value();
   EXPECT_TRUE(report.audit.satisfies_privacy);
   // D-UMP counts are 0/1.
   for (uint64_t c : report.optimal_counts) EXPECT_LE(c, 1u);
@@ -84,11 +78,8 @@ TEST(SanitizerTest, DumpEndToEnd) {
 }
 
 TEST(SanitizerTest, OutputSchemaSubsetOfInput) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  Sanitizer sanitizer(config);
   SearchLog input = RawSyntheticLog();
-  SanitizeReport report = sanitizer.Sanitize(input).value();
+  SanitizeReport report = SanitizeOnce(input, kPrivacy).value();
   for (UserId u = 0; u < report.output.num_users(); ++u) {
     EXPECT_TRUE(input.FindUser(report.output.user_name(u)).ok());
   }
@@ -102,28 +93,25 @@ TEST(SanitizerTest, OutputSchemaSubsetOfInput) {
 }
 
 TEST(SanitizerTest, DeterministicInSeed) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.seed = 123;
-  Sanitizer sanitizer(config);
+  SessionOptions options;
+  options.seed = 123;
   SearchLog input = RawSyntheticLog();
-  SanitizeReport a = sanitizer.Sanitize(input).value();
-  SanitizeReport b = sanitizer.Sanitize(input).value();
+  SanitizeReport a = SanitizeOnce(input, kPrivacy, options).value();
+  SanitizeReport b = SanitizeOnce(input, kPrivacy, options).value();
   EXPECT_EQ(a.output_size, b.output_size);
   EXPECT_EQ(a.output.num_tuples(), b.output.num_tuples());
   EXPECT_EQ(a.optimal_counts, b.optimal_counts);
 }
 
 TEST(SanitizerTest, LaplaceModeStillSamplable) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
   LaplaceStepOptions laplace;
   laplace.d = 1.0;
   laplace.epsilon_prime = 1.0;
   laplace.repair_feasibility = true;
-  config.laplace = laplace;
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SessionOptions options;
+  options.laplace = laplace;
+  SanitizeReport report =
+      SanitizeOnce(RawSyntheticLog(), kPrivacy, options).value();
   // With repair enabled the audit must still pass.
   EXPECT_TRUE(report.audit.satisfies_privacy) << report.audit.ToString();
   EXPECT_EQ(report.output.total_clicks(), report.output_size);
@@ -139,10 +127,7 @@ TEST(SanitizerTest, ObjectiveNames) {
 }
 
 TEST(SanitizerTest, ReportTimesPopulated) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SanitizeReport report = SanitizeOnce(RawSyntheticLog(), kPrivacy).value();
   EXPECT_GE(report.solve_seconds, 0.0);
 }
 

@@ -1,6 +1,6 @@
 // SanitizerSession semantics: warm-started sweeps match per-cell cold
 // solves, AppendUsers matches a from-scratch solve on the concatenated log,
-// and the one-shot wrappers stay equivalent to the session paths.
+// and a cold UmpProblem solve on the preprocessed log matches the session.
 #include "core/session.h"
 
 #include <algorithm>
@@ -12,9 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dump.h"
-#include "core/oump.h"
-#include "core/sanitizer.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "synth/generator.h"
 #include "test_fixtures.h"
@@ -24,6 +22,7 @@ namespace {
 
 using testing_fixtures::Figure1Log;
 using testing_fixtures::SmallSyntheticLog;
+using testing_fixtures::SolveCold;
 
 SearchLog SmallSyntheticRaw(uint64_t seed = 7) {
   SyntheticLogConfig config = TinyConfig();
@@ -268,34 +267,38 @@ TEST(SessionAppendTest, AppendMergesSameUser) {
             Figure1Log().total_clicks() + 5);
 }
 
-TEST(SessionWrapperTest, OneShotWrappersMatchSession) {
+TEST(SessionColdTest, ColdProblemSolveMatchesSession) {
   const SearchLog raw = SmallSyntheticRaw();
   const SearchLog log = RemoveUniquePairs(raw).log;
-  const PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
 
-  OumpResult wrapper = SolveOump(log, params).value();
+  UmpSolution cold =
+      SolveCold(MakeOumpProblem, log, Query(2.0, 0.5)).value();
   SanitizerSession session = SanitizerSession::Create(raw).value();
   UmpSolution solution =
       session.Solve(UtilityObjective::kOutputSize, Query(2.0, 0.5)).value();
-  EXPECT_NEAR(wrapper.lp_objective, solution.objective_value,
+  EXPECT_NEAR(cold.objective_value, solution.objective_value,
               1e-6 * (1.0 + solution.objective_value));
-  EXPECT_EQ(wrapper.lambda, solution.output_size);
+  EXPECT_EQ(cold.output_size, solution.output_size);
 }
 
-TEST(SessionWrapperTest, SanitizerDelegatesToSession) {
+TEST(SessionColdTest, FreshSessionsSanitizeIdentically) {
   const SearchLog input = SmallSyntheticRaw();
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kDiversity;
-  config.dump_solver = DumpSolverKind::kSpe;
-  config.seed = 99;
+  const PrivacyParams privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
+  SessionOptions options;
+  options.objective = UtilityObjective::kDiversity;
+  options.dump.solver = DumpSolverKind::kSpe;
+  options.seed = 99;
 
-  SanitizeReport wrapper = Sanitizer(config).Sanitize(input).value();
-  SanitizerSession session =
-      SanitizerSession::Create(input, config.ToSessionOptions()).value();
-  SanitizeReport direct = session.Sanitize(config.privacy).value();
-  EXPECT_EQ(wrapper.optimal_counts, direct.optimal_counts);
-  EXPECT_EQ(Tuples(wrapper.output), Tuples(direct.output));
+  SanitizeReport first = SanitizerSession::Create(input, options)
+                             .value()
+                             .Sanitize(privacy)
+                             .value();
+  SanitizeReport second = SanitizerSession::Create(input, options)
+                              .value()
+                              .Sanitize(privacy)
+                              .value();
+  EXPECT_EQ(first.optimal_counts, second.optimal_counts);
+  EXPECT_EQ(Tuples(first.output), Tuples(second.output));
 }
 
 TEST(SessionFumpTest, ZeroOutputSizeResolvesToLambda) {
@@ -322,20 +325,21 @@ TEST(SessionFumpTest, ZeroOutputSizeResolvesToLambda) {
 // & bound — without changing the optimum.
 TEST(SessionDumpTest, IntegerPresolveFixesAndPreservesOptimum) {
   const SearchLog log = testing_fixtures::Figure1Preprocessed();
-  DumpOptions with;
+  DumpSpec with;
   with.solver = DumpSolverKind::kBranchAndBound;
   with.integer_presolve = true;
-  DumpOptions without = with;
+  DumpSpec without = with;
   without.integer_presolve = false;
 
   // Figure 1's largest coefficient is log(39/22) ~ 0.57 (user 083's google
   // clicks); eps = 0.3 < 0.57 forces at least one integer fix.
-  PrivacyParams params{0.3, 0.5};
-  DumpResult fixed = SolveDump(log, params, with).value();
-  DumpResult plain = SolveDump(log, params, without).value();
-  EXPECT_GT(fixed.integer_fixed, 0);
-  EXPECT_EQ(plain.integer_fixed, 0);
-  EXPECT_EQ(fixed.retained, plain.retained);
+  UmpQuery query;
+  query.privacy = PrivacyParams{0.3, 0.5};
+  UmpSolution fixed = SolveCold(MakeDumpProblem, log, query, with).value();
+  UmpSolution plain = SolveCold(MakeDumpProblem, log, query, without).value();
+  EXPECT_GT(fixed.stats.integer_fixed, 0);
+  EXPECT_EQ(plain.stats.integer_fixed, 0);
+  EXPECT_EQ(fixed.output_size, plain.output_size);
   EXPECT_TRUE(fixed.proven_optimal);
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dump.h"
+#include "core/ump.h"
 #include "lp/branch_and_bound.h"
 #include "rng/random.h"
 #include "test_fixtures.h"

@@ -3,10 +3,16 @@
 #define PRIVSAN_TESTS_TEST_FIXTURES_H_
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 
+#include "core/constraints.h"
+#include "core/session.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "log/search_log.h"
 #include "synth/generator.h"
+#include "util/result.h"
 
 namespace privsan {
 namespace testing_fixtures {
@@ -61,6 +67,38 @@ inline SearchLog SmallSyntheticLog(uint64_t seed = 7) {
   config.seed = seed;
   SearchLog raw = GenerateSearchLog(config).value();
   return RemoveUniquePairs(raw).log;
+}
+
+// One cold solve on a preprocessed log: build the DP rows, make the problem
+// with `make` (MakeOumpProblem, MakeFumpProblem or MakeDumpProblem) and
+// solve `query` without a warm-start hint.
+template <typename Spec>
+Result<UmpSolution> SolveCold(
+    Result<std::unique_ptr<UmpProblem>> (*make)(const SearchLog&,
+                                                DpConstraintSystem*, Spec,
+                                                lp::SimplexOptions),
+    const SearchLog& log, const UmpQuery& query, Spec spec = {}) {
+  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
+                           DpConstraintSystem::BuildRows(log));
+  PRIVSAN_ASSIGN_OR_RETURN(std::unique_ptr<UmpProblem> problem,
+                           make(log, &system, spec, {}));
+  return problem->Solve(query);
+}
+
+// The cold O-UMP solve at `params`: λ is its output_size.
+inline Result<UmpSolution> SolveOumpCold(const SearchLog& log,
+                                         const PrivacyParams& params,
+                                         OumpSpec spec = {}) {
+  return SolveCold(MakeOumpProblem, log, {params}, spec);
+}
+
+// Algorithm 1 once on a raw log: a fresh session, then Sanitize(privacy).
+inline Result<SanitizeReport> SanitizeOnce(const SearchLog& raw,
+                                           const PrivacyParams& privacy,
+                                           SessionOptions options = {}) {
+  PRIVSAN_ASSIGN_OR_RETURN(SanitizerSession session,
+                           SanitizerSession::Create(raw, std::move(options)));
+  return session.Sanitize(privacy);
 }
 
 }  // namespace testing_fixtures

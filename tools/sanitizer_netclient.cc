@@ -9,8 +9,8 @@
 //   sanitizer_serverd < script.txt
 //   sanitizer_netclient --port=P < script.txt     # serverd --listen=P
 //
-// produce identical bytes, which is exactly how CI checks that the
-// binary and text transports stay behaviorally equivalent. TENANTS is
+// produce identical bytes, which is exactly how CI checks that the stdin
+// pipeline and the framed TCP path stay behaviorally equivalent. TENANTS is
 // the one exception (the wire protocol is per-tenant; a remote client
 // has no registry view) and answers ERR.
 //

@@ -3,11 +3,12 @@
 // Default mode reads the line protocol from stdin and answers on stdout,
 // one "OK ..." or "ERR ..." line per command (blank lines and #-comments
 // are ignored), so a whole serving session can be scripted through a
-// pipe. With --listen the daemon serves TCP on loopback instead: binary
-// net/frame.h frames by default (what sanitizer_netclient and the router
-// speak), or the same text line protocol with --protocol=text.
+// pipe. With --listen the daemon serves TCP on loopback instead, speaking
+// binary net/frame.h frames (what sanitizer_netclient and the router
+// speak); sanitizer_netclient runs the same line protocol over them.
 //
-// The command set (see net/text_protocol.h, shared by every transport):
+// The command set (see net/text_protocol.h, shared by stdin and
+// sanitizer_netclient):
 //
 //   CREATE <tenant> [<max_eps> <max_delta> <floor> <basic|advanced>
 //                    [<sliding|tumbling> <span_secs>]]
@@ -37,7 +38,7 @@
 //                                           "SLOW ..." line per record)
 //   QUIT
 //
-// Every transport is *pipelined*: issue N commands without waiting, then
+// Both transports are *pipelined*: issue N commands without waiting, then
 // read N replies in order — commands for distinct tenants execute in
 // parallel, commands for one tenant in their submitted order. A malformed
 // line (unknown command, counts out of range, bad numbers) answers ERR
@@ -46,7 +47,6 @@
 // Flags (all optional):
 //   --listen=PORT         serve TCP on 127.0.0.1:PORT (0 = ephemeral);
 //                         prints "READY port=N" on stdout when bound
-//   --protocol=binary|text   TCP framing (default binary)
 //   --threads=N           service worker threads (default: hardware)
 //   --max-queue-depth=N   per-tenant admission cap (0 = unlimited)
 //   --maintenance-ms=N    maintenance thread tick (default 0 = off)
@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
   serve::ServiceOptions options;
   bool listen = false;
   uint16_t listen_port = 0;
-  bool text_protocol = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const size_t eq = arg.find('=');
@@ -173,16 +172,6 @@ int main(int argc, char** argv) {
       } else if (name == "--listen") {
         listen = true;
         listen_port = static_cast<uint16_t>(ParseFlagValue(arg, eq));
-      } else if (name == "--protocol") {
-        const std::string value = arg.substr(eq + 1);
-        if (value == "binary") {
-          text_protocol = false;
-        } else if (value == "text") {
-          text_protocol = true;
-        } else {
-          std::cerr << "bad value for --protocol (binary|text)\n";
-          return 2;
-        }
       } else {
         std::cerr << "unknown flag: " << name << "\n";
         return 2;
@@ -194,47 +183,36 @@ int main(int argc, char** argv) {
   }
 
   serve::SanitizerService service(options);
-  // NOTE: the fast lane stays off — the text SOLVE reply derives its
-  // `cached=` flag from a Stats/Solve/Stats sandwich, which needs strict
-  // cross-verb FIFO; keeping both transports on the heavy lane also keeps
-  // binary and text behaviorally identical for the same script.
-  net::TextProtocol protocol(
-      [&service](serve::ServeRequest request,
-                 std::function<void(serve::ServeResponse)> respond) {
-        service.Submit(std::move(request), std::move(respond));
-      },
-      [&service] { return service.Tenants(); }, service.pool());
-
-  if (!listen) return RunStdin(protocol);
+  // NOTE: the fast lane stays off — the SOLVE reply derives its `cached=`
+  // flag from a Stats/Solve/Stats sandwich, which needs strict cross-verb
+  // FIFO. sanitizer_netclient sends the same sandwich as frames, so keeping
+  // the TCP path on the heavy lane too keeps its output byte-identical to
+  // the stdin pipeline for the same script (CI diffs the two).
+  if (!listen) {
+    net::TextProtocol protocol(
+        [&service](serve::ServeRequest request,
+                   std::function<void(serve::ServeResponse)> respond) {
+          service.Submit(std::move(request), std::move(respond));
+        },
+        [&service] { return service.Tenants(); }, service.pool());
+    return RunStdin(protocol);
+  }
 
   net::ServerOptions server_options;
   server_options.port = listen_port;
   // The reply-flush batching counters land in the same registry the
   // METRICS verb scrapes.
   server_options.registry = service.registry();
-  std::unique_ptr<net::NetServer> server;
-  if (text_protocol) {
-    server = std::make_unique<net::NetServer>(
-        net::NetServer::TextHandler(
-            [&protocol](std::string line, net::NetServer::TextDone done) {
-              protocol.Handle(line, [done = std::move(done)](
-                                        std::string reply) {
-                done(reply.empty() ? std::string() : reply + "\n");
-              });
-            }),
-        server_options);
-  } else {
-    server = std::make_unique<net::NetServer>(&service, server_options);
-  }
-  const Status started = server->Start();
+  net::NetServer server(&service, server_options);
+  const Status started = server.Start();
   if (!started.ok()) {
     std::cerr << "listen failed: " << started.ToString() << "\n";
     return 1;
   }
   // Process supervisors (the distributed bench, CI cluster smokes) parse
   // this line to learn the ephemeral port.
-  std::cout << "READY port=" << server->port() << std::endl;
-  const Status served = server->Serve();
+  std::cout << "READY port=" << server.port() << std::endl;
+  const Status served = server.Serve();
   if (!served.ok()) {
     std::cerr << "serve failed: " << served.ToString() << "\n";
     return 1;
