@@ -26,99 +26,29 @@ double PriceColumn(const PricingView& view, int j, int& sign) {
 
 // ---- PrimalPricer -----------------------------------------------------------
 
-PrimalPricer::PrimalPricer(int n_total, const SimplexOptions& options)
-    : n_total_(n_total),
-      candidate_list_size_(std::max(8, options.candidate_list_size)),
-      gamma_(n_total, 1.0) {}
+PrimalPricer::PrimalPricer(int n_total) : gamma_(n_total, 1.0) {}
 
 void PrimalPricer::ResetReference() {
   std::fill(gamma_.begin(), gamma_.end(), 1.0);
-  candidates_.clear();
-  refill_best_score_ = 0.0;
-  minor_iterations_ = 0;
-}
-
-// Full scan by Devex score; refills the candidate list with the top scorers
-// and returns the best.
-PrimalPricer::Choice PrimalPricer::Refill(const PricingView& view) {
-  struct Cand {
-    double score;
-    int j;
-    int sign;
-  };
-  std::vector<Cand> found;
-  Choice choice;
-  double best = 0.0;
-  for (int j = 0; j < n_total_; ++j) {
-    int sign = 0;
-    const double violation = PriceColumn(view, j, sign);
-    if (sign == 0) continue;
-    const double score = violation * violation / gamma_[j];
-    found.push_back(Cand{score, j, sign});
-    if (score > best) {
-      best = score;
-      choice.entering = j;
-      choice.sign = sign;
-    }
-  }
-  const size_t keep = static_cast<size_t>(candidate_list_size_);
-  if (found.size() > keep) {
-    std::nth_element(
-        found.begin(), found.begin() + keep, found.end(),
-        [](const Cand& a, const Cand& b) { return a.score > b.score; });
-    found.resize(keep);
-  }
-  candidates_.clear();
-  for (const Cand& c : found) candidates_.push_back(c.j);
-  refill_best_score_ = best;
-  minor_iterations_ = 0;
-  return choice;
 }
 
 PrimalPricer::Choice PrimalPricer::ChooseEntering(const PricingView& view,
-                                                  bool allow_partial,
-                                                  bool bland) {
-  if (bland) {
-    // First improving index — guarantees termination under degeneracy.
-    Choice choice;
-    for (int j = 0; j < n_total_; ++j) {
-      int sign = 0;
-      if (PriceColumn(view, j, sign) > 0.0) {
-        choice.entering = j;
-        choice.sign = sign;
-        return choice;
-      }
-    }
-    return choice;
-  }
-  if (!allow_partial) return Refill(view);
-
-  // Minor iteration: re-price only the candidate list. Refill when the
-  // list drains, after candidate_list_size pivots (classic multiple
-  // pricing), or when the surviving candidates' scores have decayed to
-  // noise next to what the last full scan saw — stale candidates under
-  // degeneracy are worse than the O(n) scan they save.
+                                                  bool bland) const {
   Choice choice;
   double best = 0.0;
-  size_t out = 0;
-  for (size_t k = 0; k < candidates_.size(); ++k) {
-    const int j = candidates_[k];
+  const int n_total = static_cast<int>(gamma_.size());
+  for (int j = 0; j < n_total; ++j) {
     int sign = 0;
     const double violation = PriceColumn(view, j, sign);
     if (sign == 0) continue;
-    candidates_[out++] = j;
+    // First improving index — guarantees termination under degeneracy.
+    if (bland) return Choice{j, sign};
     const double score = violation * violation / gamma_[j];
     if (score > best) {
       best = score;
       choice.entering = j;
       choice.sign = sign;
     }
-  }
-  candidates_.resize(out);
-  ++minor_iterations_;
-  if (choice.entering < 0 || minor_iterations_ >= candidate_list_size_ ||
-      best < 0.05 * refill_best_score_) {
-    choice = Refill(view);
   }
   return choice;
 }

@@ -1,11 +1,10 @@
 // Pricing for the revised simplex — who enters (primal) and who leaves
 // (dual), split out of the iteration driver in lp/simplex.cc.
 //
-//   * PrimalPricer — Devex reference weights over the columns with
-//     candidate-list partial pricing (multiple pricing): a full scan by
-//     Devex score refills a small candidate list, minor iterations re-price
-//     only the candidates, and a Bland mode (first improving index, full
-//     scan) guarantees termination under degeneracy.
+//   * PrimalPricer — Devex reference weights over the columns: every pivot
+//     scans all columns once and takes the best Devex score d^2 / gamma,
+//     and a Bland mode (first improving index) guarantees termination under
+//     degeneracy.
 //   * DualPricer — the dual simplex's leaving-row choice. Largest bound
 //     violation is the legacy rule; the default is dual Devex: row weights
 //     approximating the steepest-edge norms ||e_i^T B^-1||^2, updated from
@@ -14,7 +13,7 @@
 //     and post-append warm starts this cuts the pivot count the same way
 //     primal Devex does on cold solves.
 //
-// Both pricers hold only pricing state (weights, candidate list); the
+// Both pricers hold only pricing state (the weights); the
 // reduced costs, the basis, and the bound data stay in the driver and are
 // passed in by view. ResetReference() must be called whenever the driver
 // recomputes reduced costs exactly (refactorizations, phase switches) —
@@ -45,10 +44,10 @@ double PriceColumn(const PricingView& view, int j, int& sign);
 
 class PrimalPricer {
  public:
-  PrimalPricer(int n_total, const SimplexOptions& options);
+  explicit PrimalPricer(int n_total);
 
   // The reduced costs were recomputed exactly: reset the Devex reference
-  // framework and drop the (now stale) candidate list.
+  // framework.
   void ResetReference();
 
   struct Choice {
@@ -56,12 +55,11 @@ class PrimalPricer {
     int sign = 0;
   };
 
-  // Picks the entering column off the maintained reduced costs.
-  // `allow_partial` enables candidate-list minor iterations (the driver
-  // disables them during degenerate stalls); `bland` switches to the first
-  // improving index (full scan).
-  Choice ChooseEntering(const PricingView& view, bool allow_partial,
-                        bool bland);
+  // Picks the entering column off the maintained reduced costs in one full
+  // scan: the largest d^2 / gamma over the improving columns (the first
+  // index wins a tie), or under `bland` the first improving index.
+  // entering == -1 when no column improves.
+  Choice ChooseEntering(const PricingView& view, bool bland) const;
 
   // Devex weight update along the pivot row after `entering` replaced
   // `leaving_var` with pivot element `pivot`. `alpha_touched`/`alpha` are
@@ -72,14 +70,7 @@ class PrimalPricer {
                const std::vector<SparseAccumCell>& alpha);
 
  private:
-  Choice Refill(const PricingView& view);
-
-  int n_total_;
-  int candidate_list_size_;
-  std::vector<double> gamma_;   // Devex reference weights
-  std::vector<int> candidates_;
-  double refill_best_score_ = 0.0;  // best Devex score at the last refill
-  int minor_iterations_ = 0;        // pivots since the last refill
+  std::vector<double> gamma_;  // Devex reference weights
 };
 
 class DualPricer {

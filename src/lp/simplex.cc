@@ -252,6 +252,19 @@ bool FactorizeAndRecompute(Work& w, const SimplexOptions& options) {
   }
 }
 
+// Whether every basic variable lies within its bounds, to `tol` relative to
+// 1 + |bound|. The primal phases keep this invariant pivot by pivot; a
+// refactorization rebuilds x_B from the nonbasic values and can break it.
+bool BasicsWithinBounds(const Work& w, double tol) {
+  for (int v : w.basis) {
+    if (w.x[v] < w.lb[v] - tol * (1.0 + std::abs(w.lb[v])) ||
+        w.x[v] > w.ub[v] + tol * (1.0 + std::abs(w.ub[v]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // |rhs - A x|_inf over every variable — the drift monitor. The incremental
 // x updates accumulate error; a breach forces a refactorization.
 double ResidualInfNorm(const Work& w) {
@@ -334,6 +347,15 @@ void ComputePivotRow(const Work& w, int slot, SparseVector& rho,
 // numerical problem and is reported as kSingular. The pricing and ratio
 // test live in lp/pricing.h and lp/ratio_test.h; this loop owns the state
 // updates, the reduced-cost maintenance, and the refactorization policy.
+//
+// The phase only pivots on from the basis it pivoted to and from a point
+// within the bounds. A singular-basis repair breaks the first: it can undo
+// the pivot that made the basis singular and then take that pivot again,
+// forever. A refactorization can break the second, and after a repair the
+// rebuilt x_B can miss a bound by orders of magnitude; from there most
+// ratio tests return a step of 0 and the solve wanders until the iteration
+// limit. Either way the phase fails fast as kSingular — a cold solve then
+// takes the conservative retry, a warm one falls back cold.
 PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
                      const SimplexOptions& options) {
   const int m = w.m;
@@ -348,7 +370,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
   // the Devex weight update) and recomputed exactly at refactorizations and
   // before optimality is declared.
   std::vector<double> d(w.n_total);
-  PrimalPricer pricer(w.n_total, options);
+  PrimalPricer pricer(w.n_total);
   std::vector<SparseAccumCell> alpha(w.n_total);
   std::vector<int> alpha_touched;
   int64_t alpha_epoch = 0;
@@ -367,8 +389,13 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
   };
   refresh_reduced();
 
+  const int repairs_before = w.basis_repairs;
+  auto refactor_sound = [&]() {
+    return w.basis_repairs == repairs_before &&
+           BasicsWithinBounds(w, options.feasibility_tol);
+  };
   auto factorize = [&]() {
-    if (!FactorizeAndRecompute(w, options)) return false;
+    if (!FactorizeAndRecompute(w, options) || !refactor_sound()) return false;
     refresh_reduced();
     return true;
   };
@@ -383,25 +410,19 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
       case RefactorCheck::kNone:
         break;
       case RefactorCheck::kDone:
+        if (!refactor_sound()) return PhaseStatus::kSingular;
         refresh_reduced();
         break;
       case RefactorCheck::kSingular:
         return PhaseStatus::kSingular;
     }
 
-    // Pricing. Candidate-list partial pricing is only productive while
-    // pivots make progress; under a degenerate stall the stale candidates
-    // churn, so fall back to full scans until the stall clears.
-    const bool allow_partial =
-        options.partial_pricing &&
-        stall < std::max(8, options.bland_trigger / 4);
-    PrimalPricer::Choice choice =
-        pricer.ChooseEntering(view, allow_partial, bland);
+    PrimalPricer::Choice choice = pricer.ChooseEntering(view, bland);
     if (choice.entering < 0) {
       // The maintained reduced costs say optimal; prove it from exact ones
       // before declaring.
       refresh_reduced();
-      choice = pricer.ChooseEntering(view, /*allow_partial=*/false, bland);
+      choice = pricer.ChooseEntering(view, bland);
       if (choice.entering < 0) return PhaseStatus::kOptimal;
     }
     const int entering = choice.entering;
@@ -1206,7 +1227,6 @@ LpSolution SolveWithRetry(const LpModel& model,
   retry.refactor_max_updates = 20;
   retry.bland_trigger = 8;
   retry.pivot_tol = 1e-8;
-  retry.partial_pricing = false;
   LpSolution second = SolveImpl(model, retry);
   second.iterations += first.iterations;
   second.refactorizations += first.refactorizations;

@@ -17,14 +17,16 @@
 //    test oracle), and a dense explicit inverse is the retry of last
 //    resort. Refactorization triggers on update-file growth or numerical
 //    drift (residual breach), never on a fixed iteration schedule. A
-//    *singular* refactorization no longer forces a cold solve: the
-//    dependent columns are swapped for the uncovered rows' slacks and the
-//    solve continues (SimplexOptions::repair_policy).
-//  * Pricing (lp/pricing.h): primal Devex over candidate-list partial
-//    pricing (full scans refill a small candidate list; optimality is only
-//    declared after a full scan of exact reduced costs), and dual Devex
-//    reference weights for the dual phase's leaving-row choice. A run of
-//    degenerate pivots switches the primal to Bland's rule, which
+//    *singular* starting basis or dual-phase basis no longer forces a cold
+//    solve: the dependent columns are swapped for the uncovered rows'
+//    slacks and the solve continues (SimplexOptions::repair_policy). A
+//    primal phase never continues from a repaired basis or from a point
+//    that breaks a bound; it fails fast into the numerical retry (cold) or
+//    the cold fallback (warm).
+//  * Pricing (lp/pricing.h): primal Devex with one full scan per pivot
+//    (optimality is only declared after a scan of exact reduced costs), and
+//    dual Devex reference weights for the dual phase's leaving-row choice.
+//    A run of degenerate pivots switches the primal to Bland's rule, which
 //    guarantees termination.
 //  * Ratio tests (lp/ratio_test.h): Harris-style two-pass tolerancing with
 //    bound flips in the primal, and the bound-flip dual ratio test that
@@ -140,8 +142,10 @@ struct SimplexOptions {
 
   // What to do when a refactorization finds the basis singular. kRowSlacks
   // (default) swaps the dependent columns for the uncovered rows' slack
-  // variables and continues the solve in place; kNone restores the old
-  // behavior (numerical failure -> cold solve / dense retry).
+  // variables and continues the solve in place — for the starting basis
+  // and in the dual phase; a primal phase fails fast after a repair
+  // instead. kNone restores the old behavior (numerical failure -> cold
+  // solve / dense retry).
   enum class RepairPolicy { kNone, kRowSlacks };
   RepairPolicy repair_policy = RepairPolicy::kRowSlacks;
   // Repair-and-refactorize attempts per factorization before giving up
@@ -167,10 +171,6 @@ struct SimplexOptions {
   // (relative to 1 + |b|_inf) forces a refactorization.
   int drift_check_interval = 64;
   double drift_tol = 1e-6;
-
-  // Candidate-list partial pricing; disable for pure Dantzig scans.
-  bool partial_pricing = true;
-  int candidate_list_size = 64;
 
   // Presolve before cold solves (never applied to warm starts).
   bool presolve = true;

@@ -331,6 +331,66 @@ TEST(SimplexTest, IterationLimitReported) {
   EXPECT_EQ(solver.Solve(model).status, SolveStatus::kIterationLimit);
 }
 
+// A singular-basis repair inside a primal phase must end optimal or fail
+// fast, never cycle to the iteration limit. With pivot_tol below the
+// 1e-12 entry, x2 enters on it in place of the degenerate slack of r1; the
+// next refactorization (one update per factor) finds {x2, slack r2}
+// singular, and the repair swaps x2 straight back out at the same vertex —
+// the pivot and the repair would repeat forever.
+LpModel RepairCycleModel() {
+  // min -x2  s.t. 1e-12 x2 - x1 <= 0, x2 <= 5, x1 in [0, 10], x2 >= 0.
+  LpModel model(ObjectiveSense::kMinimize);
+  int x1 = model.AddVariable(0, 10, 0.0);
+  int x2 = model.AddVariable(0, kInfinity, -1.0);
+  int r1 = model.AddConstraint(ConstraintSense::kLessEqual, 0.0);
+  model.AddCoefficient(r1, x1, -1.0);
+  model.AddCoefficient(r1, x2, 1e-12);
+  int r2 = model.AddConstraint(ConstraintSense::kLessEqual, 5.0);
+  model.AddCoefficient(r2, x2, 1.0);
+  EXPECT_TRUE(model.Validate().ok());
+  return model;
+}
+
+SimplexOptions RepairCycleOptions() {
+  SimplexOptions options;
+  options.presolve = false;
+  options.scaling = SimplexOptions::Scaling::kNone;
+  options.perturb_costs = false;
+  options.pivot_tol = 1e-15;
+  options.stable_pivot_tol = 0.0;
+  options.refactor_max_updates = 1;
+  options.update_kind = SimplexOptions::UpdateKind::kProductForm;
+  options.max_iterations = 1000;
+  return options;
+}
+
+TEST(SimplexTest, RepairInPrimalPhaseFailsFastIntoRetry) {
+  LpModel model = RepairCycleModel();
+  LpSolution solution = SimplexSolver(RepairCycleOptions()).Solve(model);
+  ASSERT_EQ(solution.status, SolveStatus::kOptimal);
+  EXPECT_GE(solution.basis_repairs, 1);  // the repair did happen
+  EXPECT_LT(solution.iterations, 20);
+  EXPECT_NEAR(solution.objective, -5.0, 1e-9);
+  EXPECT_TRUE(model.IsFeasible(solution.x, 1e-6));
+}
+
+TEST(SimplexTest, RepairInWarmPrimalPhaseFallsBackCold) {
+  LpModel model = RepairCycleModel();
+  SimplexSolver solver(RepairCycleOptions());
+  // The all-slack basis is primal and (after the cost shift) dual
+  // feasible, so the warm solve goes straight to its primal phase.
+  Basis hint;
+  hint.basic = {2, 3};
+  hint.state = {VarStatus::kAtLower, VarStatus::kAtLower, VarStatus::kBasic,
+                VarStatus::kBasic};
+  LpSolution solution = solver.Solve(model, &hint);
+  ASSERT_EQ(solution.status, SolveStatus::kOptimal);
+  EXPECT_GE(solution.basis_repairs, 1);
+  EXPECT_LT(solution.iterations, 20);
+  EXPECT_NEAR(solution.objective, -5.0, 1e-9);
+  EXPECT_TRUE(model.IsFeasible(solution.x, 1e-6));
+}
+
 }  // namespace
 }  // namespace lp
 }  // namespace privsan
